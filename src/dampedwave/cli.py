@@ -9,18 +9,16 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import lyapunov, mesh, solver, well
 from .functionals import ModelParams, SimState, total_energy
 from .mesh import Domain, GridField
-from .series import TimeSeries
 
 OUTPUT_DIR_ENV = "DAMPEDWAVE_OUTDIR"
 
@@ -31,14 +29,12 @@ DEFAULTS: dict[str, str] = {
     "model.omega": "1.0",
     "model.mu": "1.0",
     "model.p": "4.0",
-    "model.operator": "laplacian",
     "init.kind": "stable",       # stable | unstable | zero | file
     "init.fraction": "0.5",
     "init.file": "",
     "step.dt": "0.005",
     "step.picard_tol": "1e-12",
     "step.picard_max": "50",
-    "step.linear_tol": "1e-11",
     "run.horizon": "20.0",
     "cstar.starts": "8",
     "cstar.max_iter": "100000",
@@ -90,14 +86,12 @@ class ExperimentConfig:
         return ModelParams(omega=self.get_float("model.omega"),
                            mu=self.get_float("model.mu"),
                            p=self.get_float("model.p"),
-                           operator=self.get("model.operator"),
                            diagnostic=diagnostic)
 
     def step_config(self) -> solver.StepConfig:
         return solver.StepConfig(dt=self.get_float("step.dt"),
                                  picard_tol=self.get_float("step.picard_tol"),
-                                 picard_max=self.get_int("step.picard_max"),
-                                 linear_solver_tol=self.get_float("step.linear_tol"))
+                                 picard_max=self.get_int("step.picard_max"))
 
     def minimize_opts(self) -> well.MinimizeOpts:
         return well.MinimizeOpts(n_starts=self.get_int("cstar.starts"),
@@ -311,8 +305,18 @@ SWEEP_COLUMNS = ("index", "outcome", "E0", "d", "xi", "xi_fitted", "fit_r2",
                  "t_max_estimate", "error")
 
 
+def _run_point(point_cfg: ExperimentConfig, point_dir: Path) -> dict:
+    """One sweep point's summary, or {"error": ...} when the point fails."""
+    try:
+        return run_experiment(point_cfg, point_dir)
+    except (ConfigError, ValueError) as exc:
+        return {"error": f"config: {exc}"}
+    except (well.ConvergenceError, solver.StepFailure, RuntimeError) as exc:
+        return {"error": f"numerical: {exc}"}
+
+
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str],
-              skip_undamped: bool = True, workers: int = 1) -> int:
+              skip_undamped: bool = True) -> int:
     grid = _parse_vary(vary)
     if not grid:
         raise ConfigError("sweep needs at least one --vary")
@@ -320,7 +324,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str],
     points = list(itertools.product(*(vals for _, vals in grid)))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
+    results = []
     for idx, combo in enumerate(points):
         point_cfg = cfg
         for key, value in zip(keys, combo):
@@ -329,25 +333,8 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str],
                 and point_cfg.get_float("model.omega") == 0.0
                 and point_cfg.get_float("model.mu") == 0.0):
             continue
-        jobs.append((idx, combo, point_cfg))
-
-    def run_point(job):
-        idx, combo, point_cfg = job
-        point_dir = outdir / f"point_{idx:04d}"
-        try:
-            summary = run_experiment(point_cfg, point_dir)
-        except (ConfigError, ValueError) as exc:
-            return idx, combo, {"error": f"config: {exc}"}
-        except (well.ConvergenceError, solver.StepFailure, RuntimeError) as exc:
-            return idx, combo, {"error": f"numerical: {exc}"}
-        return idx, combo, summary
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, jobs))
-    else:
-        results = [run_point(job) for job in jobs]
-    results.sort(key=lambda r: r[0])
+        results.append((idx, combo,
+                        _run_point(point_cfg, outdir / f"point_{idx:04d}")))
 
     path = outdir / "sweep.csv"
     with open(path, "w") as fh:
@@ -399,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             cmd.add_argument("--vary", action="append", default=[],
                              metavar="K=V1,V2,...", help="grid axis (repeatable)")
-            cmd.add_argument("--workers", type=int, default=1)
             cmd.add_argument("--keep-undamped", action="store_true",
                              help="do not drop omega=mu=0 grid points")
     return parser
@@ -418,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_classify(cfg, outdir)
         if args.command == "sweep":
             return cmd_sweep(cfg, outdir, args.vary,
-                             skip_undamped=not args.keep_undamped,
-                             workers=args.workers)
+                             skip_undamped=not args.keep_undamped)
     except (ConfigError, well.InfeasibleTargetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -8,8 +8,6 @@ import numpy as np
 
 from .mesh import GridField, grad_norm_sq, l2_norm_sq, lp_norm_p
 
-OPERATORS = ("laplacian", "mean_curvature")
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -23,7 +21,6 @@ class ModelParams:
     omega: float
     mu: float
     p: float
-    operator: str = "laplacian"
     source_enabled: bool = True
     diagnostic: bool = False
 
@@ -34,8 +31,6 @@ class ModelParams:
             raise ValueError("need omega + mu > 0 (or diagnostic=True)")
         if self.p <= 2:
             raise ValueError(f"source exponent must satisfy p > 2, got {self.p}")
-        if self.operator not in OPERATORS:
-            raise ValueError(f"unknown operator {self.operator!r}")
 
 
 @dataclass(frozen=True, eq=False)

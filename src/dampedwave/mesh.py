@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 _KIND_DIMS = {"interval": 1, "rectangle": 2}
 
@@ -112,10 +111,6 @@ class GridField:
     def zeros(cls, domain: Domain) -> "GridField":
         return cls(domain, np.zeros(domain.size))
 
-    def grid(self) -> np.ndarray:
-        """Values reshaped to the per-axis node layout."""
-        return self.values.reshape(self.domain.n)
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
 
@@ -182,26 +177,6 @@ def inner(u: GridField, v: GridField) -> float:
     return u.domain.weight * float(u.values @ v.values)
 
 
-def mean_curvature_apply(u: GridField) -> GridField:
-    """Negative discrete mean-curvature operator -div(grad u / sqrt(1+|grad u|^2)).
-
-    Edge-centered fluxes with one-dimensional difference slopes per edge;
-    sign-matched to laplacian_apply, to which it reduces as u -> 0.
-    """
-    _check_finite(u)
-    dom = u.domain
-    g = u.grid()
-    out = np.zeros_like(g)
-    for axis, ha in enumerate(dom.h):
-        pad = [(0, 0)] * dom.dim
-        pad[axis] = (1, 1)
-        padded = np.pad(g, pad)
-        slopes = np.diff(padded, axis=axis) / ha
-        flux = slopes / np.sqrt(1.0 + slopes**2)
-        out -= np.diff(flux, axis=axis) / ha
-    return GridField(dom, out.reshape(-1))
-
-
 def eigenmode(domain: Domain, modes: tuple[int, ...] | None = None) -> GridField:
     """Product-of-sines eigenvector of the stiffness operator, amplitude 1."""
     if modes is None:
@@ -225,22 +200,32 @@ def eigenvalue(domain: Domain, modes: tuple[int, ...] | None = None) -> float:
     return lam
 
 
-def smallest_eigenvalue(domain: Domain, tol: float = 1e-13,
-                        max_iter: int = 500) -> float:
-    """Smallest stiffness eigenvalue via inverse power iteration."""
-    a = stiffness_matrix(domain)
-    solve = spla.splu(a.tocsc()).solve
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(domain.size)
-    lam = np.inf
-    for _ in range(max_iter):
-        x = solve(x)
-        x /= np.linalg.norm(x)
-        lam_new = float(x @ (a @ x))
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    return lam
+@functools.lru_cache(maxsize=None)
+def _sine_basis(m: int, ha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DST-I matrix (its own inverse) and the 1D stiffness eigenvalues."""
+    k = np.arange(1, m + 1)
+    # reduce j*k modulo the period 2(m+1) so the sine arguments stay small
+    phase = np.outer(k, k) % (2 * (m + 1))
+    s = math.sqrt(2.0 / (m + 1)) * np.sin(phase * (math.pi / (m + 1)))
+    lam = (2.0 / ha**2) * (1.0 - np.cos(k * (math.pi / (m + 1))))
+    return s, lam
+
+
+def shifted_solver(domain: Domain, c0: float, c1: float):
+    """Exact solver b -> (c0 I + c1 A)^(-1) b in the sine eigenbasis of A.
+
+    A is the Kronecker sum of per-axis tridiagonal matrices, all diagonalized
+    by DST-I, so the solve is two transforms around a diagonal scaling.
+    """
+    bases = [_sine_basis(m, ha) for m, ha in zip(domain.n, domain.h)]
+    if domain.dim == 1:
+        ((s, lam),) = bases
+        inv = 1.0 / (c0 + c1 * lam)
+        return lambda b: s @ (inv * (s @ b))
+    (sx, lx), (sy, ly) = bases
+    inv = 1.0 / (c0 + c1 * (lx[:, None] + ly[None, :]))
+    shape = domain.n
+    return lambda b: (sx @ (inv * (sx @ b.reshape(shape) @ sy)) @ sy).reshape(-1)
 
 
 def write_field(path, u: GridField) -> None:

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import mesh
-from .functionals import ModelParams, SimState, source_term, total_energy
+from .functionals import ModelParams, SimState, total_energy
 from .mesh import GridField
 from .series import TimeSeries
 from .well import WellConstants, scale_invariant_tol
@@ -39,10 +37,9 @@ class StepConfig:
     dt: float
     picard_tol: float = 1e-12
     picard_max: int = 50
-    linear_solver_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.picard_tol <= 0 or self.linear_solver_tol <= 0:
+        if self.dt <= 0 or self.picard_tol <= 0:
             raise ValueError("dt and tolerances must be positive")
         if self.picard_max < 1:
             raise ValueError("picard_max must be at least 1")
@@ -84,7 +81,7 @@ class RunOutcome:
 
 
 class Stepper:
-    """Caches the factorized midpoint system for repeated steps."""
+    """Holds the exact midpoint solve (2 + dt mu) I + (dt^2/2 + dt omega) A."""
 
     def __init__(self, domain: mesh.Domain, params: ModelParams, cfg: StepConfig):
         self.domain = domain
@@ -93,34 +90,13 @@ class Stepper:
         self.a = mesh.stiffness_matrix(domain)
         self.w = domain.weight
         dt = cfg.dt
-        m = ((2.0 + dt * params.mu) * sp.identity(domain.size, format="csr")
-             + (0.5 * dt * dt + dt * params.omega) * self.a)
-        if domain.dim == 1:
-            lu = spla.splu(m.tocsc())
-            self._solve = lambda rhs, x0: lu.solve(rhs)
-        else:
-            self._m = m.tocsr()
-            self._precond = sp.diags(1.0 / m.diagonal())
-            self._solve = self._solve_cg
-
-    def _solve_cg(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        x, info = spla.cg(self._m, rhs, x0=x0, rtol=self.cfg.linear_solver_tol,
-                          atol=0.0, M=self._precond)
-        if info != 0:
-            raise RuntimeError(f"conjugate gradient failed (info={info})")
-        return x
+        self._solve = mesh.shifted_solver(domain, 2.0 + dt * params.mu,
+                                          0.5 * dt * dt + dt * params.omega)
 
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
-        """Source plus, for the curvature operator, its deviation from A."""
-        p = self.params.p
-        # Overflow near blow-up is expected; non-finite values are caught in
-        # the Picard loop and surfaced as a step failure.
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = um * np.abs(um) ** (p - 2.0) if self.params.source_enabled else 0.0
-        if self.params.operator == "mean_curvature":
-            mc = mesh.mean_curvature_apply(GridField(self.domain, um)).values
-            s = s + (self.a @ um - mc)
-        return np.broadcast_to(s, um.shape) if np.isscalar(s) else s
+        if not self.params.source_enabled:
+            return np.zeros_like(um)
+        return um * np.abs(um) ** (self.params.p - 2.0)
 
     def advance(self, state: SimState) -> tuple[SimState, StepStats]:
         dt = self.cfg.dt
@@ -129,17 +105,21 @@ class Stepper:
         vm = v.copy()
         converged = False
         iters = 0
-        for iters in range(1, self.cfg.picard_max + 1):
-            um = u + 0.5 * dt * vm
-            rhs = base + dt * self._nonlinear(um)
-            vm_new = self._solve(rhs, vm)
-            delta = np.max(np.abs(vm_new - vm))
-            vm = vm_new
-            if not np.all(np.isfinite(vm)):
-                raise StepFailure("midpoint solve produced non-finite values", state)
-            if delta <= self.cfg.picard_tol * max(1.0, np.max(np.abs(vm))):
-                converged = True
-                break
+        # Overflow near blow-up is expected; non-finite values are caught
+        # below and surfaced as a step failure.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for iters in range(1, self.cfg.picard_max + 1):
+                um = u + 0.5 * dt * vm
+                rhs = base + dt * self._nonlinear(um)
+                vm_new = self._solve(rhs)
+                delta = np.max(np.abs(vm_new - vm))
+                vm = vm_new
+                if not np.all(np.isfinite(vm)):
+                    raise StepFailure("midpoint solve produced non-finite values",
+                                      state)
+                if delta <= self.cfg.picard_tol * max(1.0, np.max(np.abs(vm))):
+                    converged = True
+                    break
         if not converged:
             raise StepFailure(
                 f"Picard stalled after {self.cfg.picard_max} iterations", state)

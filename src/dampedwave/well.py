@@ -20,9 +20,9 @@ from .mesh import Domain, GridField
 class ConvergenceError(RuntimeError):
     """Constrained minimization did not reach the gradient tolerance."""
 
-    def __init__(self, message: str, last_residual: float):
+    def __init__(self, message: str, best_residual: float):
         super().__init__(message)
-        self.last_residual = last_residual
+        self.best_residual = best_residual
 
 
 class InfeasibleTargetError(ValueError):
@@ -140,15 +140,16 @@ def compute_c_star(domain: Domain, p: float,
     starts.extend(rng.standard_normal(domain.size) for _ in range(opts.n_starts))
 
     best = None
-    worst_residual = math.inf
+    best_residual = math.inf
     for x0 in starts:
         x, r, relgrad, ok = _descend(a, w, p, x0, opts)
-        worst_residual = min(worst_residual, relgrad)
+        best_residual = min(best_residual, relgrad)
         if ok and (best is None or r < best[1]):
             best = (x, r)
     if best is None:
         raise ConvergenceError(
-            f"no start converged below grad_tol={opts.grad_tol}", worst_residual)
+            f"no start converged below grad_tol={opts.grad_tol}; best relative "
+            f"gradient {best_residual:.3e}", best_residual)
     x, r = best
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
@@ -160,7 +161,7 @@ def well_constants(domain: Domain, p: float,
                    opts: MinimizeOpts = MinimizeOpts()) -> WellConstants:
     """C*, d, beta and the discrete Poincare constant for one domain."""
     c_star, _ = compute_c_star(domain, p, opts)
-    lambda1 = mesh.smallest_eigenvalue(domain)
+    lambda1 = mesh.eigenvalue(domain)
     return WellConstants.from_c_star(c_star, p, lambda1, domain.fingerprint())
 
 

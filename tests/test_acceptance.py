@@ -211,7 +211,7 @@ def test_ac6_variational_constants():
         best = min(best, res.fun)
     oracle = 1.0 / best
 
-    wc = well.WellConstants.from_c_star(c255, p, mesh.smallest_eigenvalue(dom))
+    wc = well.WellConstants.from_c_star(c255, p, mesh.eigenvalue(dom))
     identity_d = abs(wc.d - (p - 2) / (2 * p) * c255 ** (-2 * p / (p - 2)))
     identity_beta = abs(wc.beta**2 - 2 * wc.d * p / (p - 2))
 

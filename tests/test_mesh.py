@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,40 +153,23 @@ class TestNorms:
         lam1 = mesh.eigenvalue(f.domain)
         assert mesh.l2_norm_sq(f) <= g / lam1 + 1e-10 * (1 + g)
 
-    def test_poincare_constant_matches_power_iteration(self):
+    def test_poincare_constant_matches_dense_eigensolver(self):
         dom = dw.interval(1.0, 63)
-        assert mesh.smallest_eigenvalue(dom) == pytest.approx(
-            mesh.eigenvalue(dom), rel=1e-11)
+        dense = mesh.stiffness_matrix(dom).toarray()
+        assert mesh.eigenvalue(dom) == pytest.approx(
+            np.linalg.eigvalsh(dense)[0], rel=1e-11)
 
 
-class TestMeanCurvature:
-    def test_zero(self, dom3):
-        out = mesh.mean_curvature_apply(dw.GridField.zeros(dom3))
-        assert not out.values.any()
-
-    def test_hand_value(self):
-        out = mesh.mean_curvature_apply(field3([1, 1, 1]))
-        np.testing.assert_allclose(out.values,
-                                   [16 / math.sqrt(17), 0.0, 16 / math.sqrt(17)])
-
-    def test_small_slope_taylor_agreement(self, rng):
-        dom = dw.interval(1.0, 31)
-        u = dw.GridField(dom, rng.standard_normal(dom.size))
-        ratios = []
-        for s in (1e-2, 1e-3, 1e-4):
-            su = dw.GridField(dom, s * u.values)
-            diff = (mesh.mean_curvature_apply(su).values
-                    - mesh.laplacian_apply(su).values)
-            ratios.append(np.max(np.abs(diff)) / s**3)
-        # third-order remainder: the s^3-scaled gap stays bounded
-        assert max(ratios) <= 2.0 * min(ratios) + 1e-6
-
-    def test_2d_reduces_to_laplacian(self, rng):
-        dom = dw.rectangle((1.0, 1.0), (6, 5))
-        u = dw.GridField(dom, 1e-5 * rng.standard_normal(dom.size))
-        np.testing.assert_allclose(mesh.mean_curvature_apply(u).values,
-                                   mesh.laplacian_apply(u).values,
-                                   rtol=1e-6, atol=1e-15)
+@pytest.mark.parametrize("dom", [dw.interval(1.0, 63),
+                                 dw.rectangle((1.5, 1.0), (7, 5))])
+def test_shifted_solver_matches_sparse_direct_solve(dom, rng):
+    c0, c1 = 2.005, 0.0050125  # dt = 5e-3, omega = mu = 1
+    a = mesh.stiffness_matrix(dom)
+    m = (c0 * sp.identity(dom.size) + c1 * a).tocsc()
+    b = rng.standard_normal(dom.size)
+    want = spla.spsolve(m, b)
+    got = mesh.shifted_solver(dom, c0, c1)(b)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestFieldIO:

@@ -89,6 +89,7 @@ def test_monitor_catches_unstable_data(dom63, wc63_p4):
     assert "Nehari" in outcome.details
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unstable_run_blows_up(dom63, wc63_p4):
     params = dw.ModelParams(omega=0.0, mu=1.0, p=4.0)
     u0, u1 = dw.prepare_initial_data(dom63, params, wc63_p4, ("unstable", 0.9))

@@ -79,6 +79,15 @@ class TestWellConstants:
         with pytest.raises(ValueError):
             dw.compute_c_star(dom63, 2.0)
 
+    def test_unconverged_reports_best_residual(self, dom63):
+        opts = dw.MinimizeOpts(max_iter=1)
+        with pytest.raises(well.ConvergenceError) as info:
+            dw.compute_c_star(dom63, 4.0, opts)
+        best = info.value.best_residual
+        assert math.isfinite(best)
+        assert best >= opts.grad_tol
+        assert f"{best:.3e}" in str(info.value)
+
 
 class TestNehariScale:
     def test_hand_value(self, dom3):
