@@ -146,10 +146,17 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _well_report(cfg: ExperimentConfig) -> tuple[well.WellConstants, dict]:
+def _well_report(cfg: ExperimentConfig, memo: dict | None = None
+                 ) -> tuple[well.WellConstants, dict]:
+    """Constants and their report; `memo` reuses C* across one sweep's points."""
     dom = cfg.domain()
     p = cfg.get_float("model.p")
-    wc = well.well_constants(dom, p, cfg.minimize_opts())
+    opts = cfg.minimize_opts()
+    memo = {} if memo is None else memo
+    key = (dom, p, opts)
+    if key not in memo:
+        memo[key] = well.well_constants(dom, p, opts)
+    wc = memo[key]
     report = {
         "c_star": wc.c_star,
         "d": wc.d,
@@ -205,13 +212,14 @@ def _certificate_dict(cert: lyapunov.DecayCertificate) -> dict:
             "violated_at": cert.violated_at}
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
+def run_experiment(cfg: ExperimentConfig, outdir: Path,
+                   well_memo: dict | None = None) -> dict:
     """One full run: constants, data, trajectory, certification, reports."""
     cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     params = cfg.model()
     step_cfg = cfg.step_config()
-    wc, well_report = _well_report(cfg)
+    wc, well_report = _well_report(cfg, well_memo)
     initial = _initial_state(cfg, params, wc)
     mesh.write_field(outdir / "u0.txt", initial.u)
     cls = well.classify(initial, params, wc)
@@ -305,10 +313,11 @@ SWEEP_COLUMNS = ("index", "outcome", "E0", "d", "xi", "xi_fitted", "fit_r2",
                  "t_max_estimate", "error")
 
 
-def _run_point(point_cfg: ExperimentConfig, point_dir: Path) -> dict:
+def _run_point(point_cfg: ExperimentConfig, point_dir: Path,
+               well_memo: dict) -> dict:
     """One sweep point's summary, or {"error": ...} when the point fails."""
     try:
-        return run_experiment(point_cfg, point_dir)
+        return run_experiment(point_cfg, point_dir, well_memo)
     except (ConfigError, ValueError) as exc:
         return {"error": f"config: {exc}"}
     except (well.ConvergenceError, solver.StepFailure, RuntimeError) as exc:
@@ -325,6 +334,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str],
     outdir.mkdir(parents=True, exist_ok=True)
 
     results = []
+    well_memo: dict = {}  # C* per distinct (domain, p, MinimizeOpts)
     for idx, combo in enumerate(points):
         point_cfg = cfg
         for key, value in zip(keys, combo):
@@ -334,7 +344,8 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str],
                 and point_cfg.get_float("model.mu") == 0.0):
             continue
         results.append((idx, combo,
-                        _run_point(point_cfg, outdir / f"point_{idx:04d}")))
+                        _run_point(point_cfg, outdir / f"point_{idx:04d}",
+                                   well_memo)))
 
     path = outdir / "sweep.csv"
     with open(path, "w") as fh:

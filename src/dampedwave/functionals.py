@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GridField, grad_norm_sq, l2_norm_sq, lp_norm_p
+from .mesh import (CorruptFieldError, GridField, grad_norm_sq, l2_norm_sq,
+                   lp_norm_p, stiffness_matrix)
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,6 @@ class EnergyReport:
     lp_p: float
 
 
-def source_term(u: GridField, params: ModelParams) -> GridField:
-    """Nodewise nonlinearity u|u|^(p-2)."""
-    vals = u.values
-    return GridField(u.domain, vals * np.abs(vals) ** (params.p - 2.0))
-
-
 def functional_I(u: GridField, params: ModelParams) -> float:
     """I(u) = ||grad u||_2^2 - ||u||_p^p."""
     return grad_norm_sq(u) - lp_norm_p(u, params.p)
@@ -79,21 +74,31 @@ def functional_J(u: GridField, params: ModelParams) -> float:
     return 0.5 * grad_norm_sq(u) - lp_norm_p(u, params.p) / params.p
 
 
+def energy_terms(u: np.ndarray, au: np.ndarray, v: np.ndarray, w: float,
+                 p: float) -> tuple[float, ...]:
+    """(E, I, J, kinetic, grad_sq, lp_p, l2_v) from raw node values.
+
+    `au` is A @ u and `w` the node weight; the terms are reduced exactly as
+    the mesh norms reduce them, so the results agree bit for bit.
+    """
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise CorruptFieldError("field contains NaN or Inf")
+    grad_sq = max(w * float(u @ au), 0.0)
+    lp_p = w * float(np.sum(np.abs(u) ** p))
+    l2_v = w * float(np.sum(v**2))
+    kinetic = 0.5 * l2_v
+    j = 0.5 * grad_sq - lp_p / p
+    return j + kinetic, grad_sq - lp_p, j, kinetic, grad_sq, lp_p, l2_v
+
+
 def total_energy(state: SimState, params: ModelParams) -> EnergyReport:
     """E = J + kinetic energy, with cached constituent norms."""
-    grad_sq = grad_norm_sq(state.u)
-    lp_p = lp_norm_p(state.u, params.p)
-    kinetic = 0.5 * l2_norm_sq(state.v)
-    j = 0.5 * grad_sq - lp_p / params.p
-    return EnergyReport(
-        t=state.t,
-        I=grad_sq - lp_p,
-        J=j,
-        E=j + kinetic,
-        kinetic=kinetic,
-        grad_sq=grad_sq,
-        lp_p=lp_p,
-    )
+    domain = state.u.domain
+    u = state.u.values
+    E, I, J, kinetic, grad_sq, lp_p, _ = energy_terms(
+        u, stiffness_matrix(domain) @ u, state.v.values, domain.weight, params.p)
+    return EnergyReport(t=state.t, I=I, J=J, E=E, kinetic=kinetic,
+                        grad_sq=grad_sq, lp_p=lp_p)
 
 
 def dissipation_rate(state: SimState, params: ModelParams) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.optimize
 
 from . import mesh
-from .functionals import ModelParams, SimState, total_energy
+from .functionals import ModelParams, SimState, energy_terms
 from .mesh import GridField
 from .series import TimeSeries
 from .well import WellConstants, scale_invariant_tol
@@ -138,38 +138,45 @@ def step(state: SimState, params: ModelParams, cfg: StepConfig) -> SimState:
     return Stepper(state.u.domain, params, cfg).advance(state)[0]
 
 
-def _record(series: TimeSeries, state: SimState, params: ModelParams,
-            epsilon: float):
-    rep = total_energy(state, params)
-    uv = mesh.inner(state.v, state.u)
-    ell = rep.E + epsilon * uv
-    if params.omega > 0:
-        ell += 0.5 * epsilon * params.omega * rep.grad_sq
-    grad_v = mesh.grad_norm_sq(state.v)
-    l2_v = mesh.l2_norm_sq(state.v)
-    series.append(t=state.t, E=rep.E, I=rep.I, J=rep.J, L=ell,
-                  kinetic=rep.kinetic, grad_sq=rep.grad_sq, lp_p=rep.lp_p,
-                  l2_v=l2_v, grad_v_sq=grad_v)
-    return rep
+def _record(series: TimeSeries, t: float, u: np.ndarray, v: np.ndarray,
+            terms: tuple, stepper: Stepper, epsilon: float) -> None:
+    """Append one sample row, reusing the step's `energy_terms` tuple."""
+    E, I, J, kinetic, grad_sq, lp_p, l2_v = terms
+    w = stepper.w
+    ell = E + epsilon * (w * float(v @ u))
+    omega = stepper.params.omega
+    if omega > 0:
+        ell += 0.5 * epsilon * omega * grad_sq
+    grad_v = max(w * float(v @ (stepper.a @ v)), 0.0)
+    series.append(t=t, E=E, I=I, J=J, L=ell, kinetic=kinetic, grad_sq=grad_sq,
+                  lp_p=lp_p, l2_v=l2_v, grad_v_sq=grad_v)
 
 
 def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
         monitors: MonitorSet | None = None) -> tuple[TimeSeries, RunOutcome]:
-    """Integrate to the horizon, sampling diagnostics and enforcing monitors."""
+    """Integrate to the horizon, sampling diagnostics and enforcing monitors.
+
+    The energy is evaluated once per step on raw arrays; the drift, the
+    monitors and the sampled row all share that evaluation.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     monitors = monitors or MonitorSet()
     domain = initial.u.domain
     stepper = Stepper(domain, params, cfg)
+    a, w, p, dt = stepper.a, stepper.w, params.p, cfg.dt
+    eps = monitors.epsilon
     stride = 1 if domain.size <= SAMPLE_EVERY_STEP_MAX_NODES else 10
-    n_steps = max(1, int(round(horizon / cfg.dt)))
+    n_steps = max(1, int(round(horizon / dt)))
 
     series = TimeSeries()
-    rep = _record(series, initial, params, monitors.epsilon)
-    e0 = rep.E
-    e_prev = rep.E
-    grad_cap = (2.0 * params.p / (params.p - 2.0)) * e0 * (1.0 + 1e-6)
-    energy_tol = monitors.energy_tol_coeff * cfg.dt**3 * max(1.0, abs(e0))
+    u, v = initial.u.values, initial.v.values
+    terms = energy_terms(u, a @ u, v, w, p)
+    _record(series, initial.t, u, v, terms, stepper, eps)
+    e0 = terms[0]
+    e_prev = e0
+    grad_cap = (2.0 * p / (p - 2.0)) * e0 * (1.0 + 1e-6)
+    energy_tol = monitors.energy_tol_coeff * dt**3 * max(1.0, abs(e0))
     drift = 0.0
     state = initial
 
@@ -183,25 +190,27 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
                     kind="blew_up", T=failure.state.t, t_max_estimate=est,
                     details=str(failure), energy_drift=drift)
             raise
-        e_now = total_energy(state, params).E
-        drift += abs(e_now - e_prev - cfg.dt * stats.midpoint_dissipation)
+        u, v = state.u.values, state.v.values
+        terms = energy_terms(u, a @ u, v, w, p)
+        e_now = terms[0]
+        drift += abs(e_now - e_prev - dt * stats.midpoint_dissipation)
         if k % stride == 0 or k == n_steps:
-            rep = _record(series, state, params, monitors.epsilon)
-            if monitors.nehari_invariance:
-                tol_i = scale_invariant_tol(rep.grad_sq, rep.lp_p)
-                if rep.I < -tol_i:
-                    return series, RunOutcome(
-                        kind="monitor_violation", T=state.t, energy_drift=drift,
-                        details=f"Nehari invariance lost: I={rep.I} at t={state.t}")
-            if monitors.grad_bound and rep.grad_sq > grad_cap:
+            _record(series, state.t, u, v, terms, stepper, eps)
+            _, i_now, _, _, grad_sq, lp_p, l2_v = terms
+            if (monitors.nehari_invariance
+                    and i_now < -scale_invariant_tol(grad_sq, lp_p)):
                 return series, RunOutcome(
                     kind="monitor_violation", T=state.t, energy_drift=drift,
-                    details=f"gradient bound exceeded: {rep.grad_sq} > {grad_cap}")
-            if monitors.energy_monotone and rep.E > e_prev + energy_tol:
+                    details=f"Nehari invariance lost: I={i_now} at t={state.t}")
+            if monitors.grad_bound and grad_sq > grad_cap:
+                return series, RunOutcome(
+                    kind="monitor_violation", T=state.t, energy_drift=drift,
+                    details=f"gradient bound exceeded: {grad_sq} > {grad_cap}")
+            if monitors.energy_monotone and e_now > e_prev + energy_tol:
                 return series, RunOutcome(
                     kind="monitor_violation", T=state.t, energy_drift=drift,
                     details=f"energy increased beyond tolerance at t={state.t}")
-            norm = math.sqrt(rep.grad_sq) + math.sqrt(mesh.l2_norm_sq(state.v))
+            norm = math.sqrt(grad_sq) + math.sqrt(l2_v)
             if norm > monitors.thresholds.norm_threshold:
                 est = detect_blowup(series, monitors.thresholds)
                 return series, RunOutcome(

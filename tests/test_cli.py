@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave import cli, mesh
+from dampedwave import cli, mesh, well
 from dampedwave.series import TimeSeries
 
 FAST = [
@@ -121,3 +121,20 @@ def test_gnuplot_script(tmp_path):
     assert cli.main(["run", "--out", str(tmp_path), *FAST,
                      "--set", "gnuplot=1"]) == 0
     assert (tmp_path / "plot.gp").exists()
+
+
+def test_sweep_computes_c_star_once_per_exponent(tmp_path, monkeypatch):
+    calls = []
+    original = well.compute_c_star
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(well, "compute_c_star", counting)
+    assert cli.main(["sweep", "--out", str(tmp_path), *FAST,
+                     "--vary", "model.p=3,4",
+                     "--vary", "model.omega=0,0.1"]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 4
+    assert len(calls) == 2

@@ -156,3 +156,51 @@ def test_series_csv_roundtrip(tmp_path, dom63, wc63_p4):
     assert back.rows == series.rows
     header = path.read_text().splitlines()[0]
     assert header == "t,E,I,J,L,kinetic,grad_sq,lp_p,l2_v,grad_v_sq"
+
+
+@pytest.mark.parametrize("dom, n_steps", [
+    (dw.interval(1.0, 63), 30),
+    # 345 nodes: above SAMPLE_EVERY_STEP_MAX_NODES, so rows are every 10th step
+    (dw.rectangle((1.5, 1.0), (23, 15)), 25),
+])
+def test_series_rows_match_public_functions(dom, n_steps):
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    cfg = dw.StepConfig(dt=5e-3)
+    eps = 0.1
+    u0 = dw.GridField(dom, 0.5 * mesh.eigenmode(dom).values)
+    v0 = dw.GridField(dom, 0.3 * mesh.eigenmode(dom, (2,) * dom.dim).values)
+    initial = dw.SimState(0.0, u0, v0)
+    series, outcome = dw.run(initial, params, cfg, n_steps * cfg.dt,
+                             dw.MonitorSet(epsilon=eps))
+    assert outcome.kind == "completed"
+
+    stride = 1 if dom.size <= solver.SAMPLE_EVERY_STEP_MAX_NODES else 10
+    stepper = dw.Stepper(dom, params, cfg)
+    states = [initial]
+    for k in range(1, n_steps + 1):
+        states.append(stepper.advance(states[-1])[0])
+    sampled = [s for k, s in enumerate(states)
+               if k % stride == 0 or k == n_steps]
+    assert len(series) == len(sampled)
+
+    for row, state in zip(series.rows, sampled):
+        rep = dw.total_energy(state, params)
+        assert rep.grad_sq == mesh.grad_norm_sq(state.u)
+        assert rep.lp_p == mesh.lp_norm_p(state.u, params.p)
+        assert rep.kinetic == 0.5 * mesh.l2_norm_sq(state.v)
+        ell = (rep.E + eps * mesh.inner(state.v, state.u)
+               + 0.5 * eps * params.omega * rep.grad_sq)
+        expected = (state.t, rep.E, rep.I, rep.J, ell, rep.kinetic, rep.grad_sq,
+                    rep.lp_p, mesh.l2_norm_sq(state.v), mesh.grad_norm_sq(state.v))
+        assert row == expected
+
+
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_run_rejects_non_finite_initial_data(dom63, field):
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    values = {"u": 0.1 * mesh.eigenmode(dom63).values, "v": np.zeros(dom63.size)}
+    values[field][5] = math.nan
+    state = dw.SimState(0.0, dw.GridField(dom63, values["u"]),
+                        dw.GridField(dom63, values["v"]))
+    with pytest.raises(mesh.CorruptFieldError):
+        dw.run(state, params, dw.StepConfig(dt=1e-2), 0.1)
