@@ -82,11 +82,10 @@ class ExperimentConfig:
         counts = tuple(int(x) for x in self.get("domain.n").split(","))
         return Domain(self.get("domain.kind"), extents, counts)
 
-    def model(self, diagnostic: bool = False) -> ModelParams:
+    def model(self) -> ModelParams:
         return ModelParams(omega=self.get_float("model.omega"),
                            mu=self.get_float("model.mu"),
-                           p=self.get_float("model.p"),
-                           diagnostic=diagnostic)
+                           p=self.get_float("model.p"))
 
     def step_config(self) -> solver.StepConfig:
         return solver.StepConfig(dt=self.get_float("step.dt"),
@@ -107,13 +106,11 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         dom = self.domain()
-        params = self.model(diagnostic=True)
+        params = self.model()
         check = well.validate_exponent(params.p, dom.dim, params.omega)
         if not check.ok:
             raise ConfigError(
                 f"p={params.p} outside (2, {check.p_bar}] for this domain/omega")
-        if params.omega == 0 and params.mu == 0:
-            raise ConfigError("need at least one damping coefficient > 0")
         if self.get_float("run.horizon") <= 0:
             raise ConfigError("run.horizon must be positive")
         self.step_config()
@@ -324,8 +321,7 @@ def _run_point(point_cfg: ExperimentConfig, point_dir: Path,
         return {"error": f"numerical: {exc}"}
 
 
-def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str],
-              skip_undamped: bool = True) -> int:
+def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str]) -> int:
     grid = _parse_vary(vary)
     if not grid:
         raise ConfigError("sweep needs at least one --vary")
@@ -339,10 +335,9 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str],
         point_cfg = cfg
         for key, value in zip(keys, combo):
             point_cfg = point_cfg.override(key, value)
-        if (skip_undamped
-                and point_cfg.get_float("model.omega") == 0.0
+        if (point_cfg.get_float("model.omega") == 0.0
                 and point_cfg.get_float("model.mu") == 0.0):
-            continue
+            continue  # undamped: outside the theory, ModelParams rejects it
         results.append((idx, combo,
                         _run_point(point_cfg, outdir / f"point_{idx:04d}",
                                    well_memo)))
@@ -397,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             cmd.add_argument("--vary", action="append", default=[],
                              metavar="K=V1,V2,...", help="grid axis (repeatable)")
-            cmd.add_argument("--keep-undamped", action="store_true",
-                             help="do not drop omega=mu=0 grid points")
     return parser
 
 
@@ -414,8 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             return cmd_classify(cfg, outdir)
         if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, args.vary,
-                             skip_undamped=not args.keep_undamped)
+            return cmd_sweep(cfg, outdir, args.vary)
     except (ConfigError, well.InfeasibleTargetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -108,12 +108,12 @@ def fit_exponential_rate(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     logy = np.log(np.asarray(y, dtype=float))
     if len(t) < 2:
         raise ValueError("need at least two samples to fit a rate")
-    slope, _ = np.polyfit(t, logy, 1)
-    resid = logy - np.polyval(np.polyfit(t, logy, 1), t)
+    coeffs = np.polyfit(t, logy, 1)
+    resid = logy - np.polyval(coeffs, t)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((logy - logy.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return -slope, r2
+    return -coeffs[0], r2
 
 
 def certify_decay(series: TimeSeries, cert: DecayCertificate,

@@ -10,7 +10,7 @@ nonlinear quadrature error, which is third order per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -22,6 +22,10 @@ from .series import TimeSeries
 from .well import WellConstants, scale_invariant_tol
 
 SAMPLE_EVERY_STEP_MAX_NODES = 255  # above this, sample every 10th step
+ENERGY_TOL_COEFF = 100.0  # monotone-energy allowance: coeff * dt^3 * max(1, E0)
+BLOWUP_NORM_THRESHOLD = 1e6  # ||grad u|| + ||u_t|| at which a run has blown up
+GROWTH_WINDOW = 10  # samples over which a failed step must show growth
+FIT_SAMPLES = 30  # trailing samples in the pole fit of T_max
 
 
 class StepFailure(RuntimeError):
@@ -51,13 +55,6 @@ class StepStats:
     midpoint_dissipation: float  # dissipation identity evaluated at the midpoint
 
 
-@dataclass(frozen=True)
-class BlowupThresholds:
-    norm_threshold: float = 1e6
-    growth_window: int = 10
-    fit_samples: int = 30
-
-
 @dataclass
 class MonitorSet:
     """Runtime assertions armed for stable-set runs; all off by default."""
@@ -67,8 +64,6 @@ class MonitorSet:
     nehari_invariance: bool = False   # I(u(t)) > -tol_I
     grad_bound: bool = False          # ||grad u||^2 <= 2p/(p-2) E(0)
     energy_monotone: bool = False
-    energy_tol_coeff: float = 100.0   # per-step allowance coeff * dt^3 * max(1, E0)
-    thresholds: BlowupThresholds = field(default_factory=BlowupThresholds)
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,7 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
     e0 = terms[0]
     e_prev = e0
     grad_cap = (2.0 * p / (p - 2.0)) * e0 * (1.0 + 1e-6)
-    energy_tol = monitors.energy_tol_coeff * dt**3 * max(1.0, abs(e0))
+    energy_tol = ENERGY_TOL_COEFF * dt**3 * max(1.0, abs(e0))
     drift = 0.0
     state = initial
 
@@ -184,7 +179,7 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
         try:
             state, stats = stepper.advance(state)
         except StepFailure as failure:
-            est = detect_blowup(series, monitors.thresholds, step_failed=True)
+            est = detect_blowup(series, step_failed=True)
             if est is not None:
                 return series, RunOutcome(
                     kind="blew_up", T=failure.state.t, t_max_estimate=est,
@@ -211,8 +206,8 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
                     kind="monitor_violation", T=state.t, energy_drift=drift,
                     details=f"energy increased beyond tolerance at t={state.t}")
             norm = math.sqrt(grad_sq) + math.sqrt(l2_v)
-            if norm > monitors.thresholds.norm_threshold:
-                est = detect_blowup(series, monitors.thresholds)
+            if norm > BLOWUP_NORM_THRESHOLD:
+                est = detect_blowup(series)
                 return series, RunOutcome(
                     kind="blew_up", T=state.t, energy_drift=drift,
                     t_max_estimate=est if est is not None else state.t,
@@ -240,7 +235,8 @@ def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float | None
     return float(res.x) if res.success else None
 
 
-def detect_blowup(series: TimeSeries, thresholds: BlowupThresholds = BlowupThresholds(),
+def detect_blowup(series: TimeSeries,
+                  norm_threshold: float = BLOWUP_NORM_THRESHOLD,
                   step_failed: bool = False) -> float | None:
     """Blow-up time estimate, or None when the series shows no divergence.
 
@@ -252,18 +248,18 @@ def detect_blowup(series: TimeSeries, thresholds: BlowupThresholds = BlowupThres
         raise ValueError("empty series")
     t = series.col("t")
     y = series.divergence_norm()
-    crossed = y > thresholds.norm_threshold
+    crossed = y > norm_threshold
     fired_at = None
     if crossed.any():
         fired_at = int(np.argmax(crossed))
     elif step_failed and len(y) >= 2:
-        w = min(thresholds.growth_window, len(y) - 1)
+        w = min(GROWTH_WINDOW, len(y) - 1)
         if y[-1] > y[-1 - w]:
             fired_at = len(y) - 1
     if fired_at is None:
         return None
 
-    m = min(thresholds.fit_samples, fired_at + 1)
+    m = min(FIT_SAMPLES, fired_at + 1)
     tt, yy = t[fired_at - m + 1:fired_at + 1], y[fired_at - m + 1:fired_at + 1]
     keep = yy > 0
     tt, yy = tt[keep], yy[keep]

@@ -74,7 +74,6 @@ class WellConstants:
 @dataclass(frozen=True)
 class MinimizeOpts:
     n_starts: int = 8
-    include_eigenmode: bool = True
     max_iter: int = 100_000
     grad_tol: float = 1e-10
     seed: int = 0
@@ -134,9 +133,7 @@ def compute_c_star(domain: Domain, p: float,
     a = mesh.stiffness_matrix(domain)
     w = domain.weight
     rng = np.random.default_rng(opts.seed)
-    starts = []
-    if opts.include_eigenmode:
-        starts.append(mesh.eigenmode(domain).values)
+    starts = [mesh.eigenmode(domain).values]
     starts.extend(rng.standard_normal(domain.size) for _ in range(opts.n_starts))
 
     best = None

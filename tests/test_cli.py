@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -29,6 +30,13 @@ def test_well_report_and_determinism(tmp_path):
 def test_invalid_exponent_exits_1(tmp_path, capsys):
     code = cli.main(["well", "--out", str(tmp_path), "--set", "model.p=2.0"])
     assert code == 1
+
+
+def test_undamped_run_exits_1(tmp_path, capsys):
+    assert cli.main(["run", "--out", str(tmp_path / "out"), *FAST,
+                     "--set", "model.omega=0", "--set", "model.mu=0"]) == 1
+    assert "omega + mu > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_exits_1(tmp_path):
@@ -138,3 +146,47 @@ def test_sweep_computes_c_star_once_per_exponent(tmp_path, monkeypatch):
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 4
     assert len(calls) == 2
+
+
+EXPERIMENT_SMALL = ["--set", "domain.n=15", "--set", "run.horizon=0.5",
+                    "--set", "cstar.starts=2"]
+
+
+def _sweep_rows(outdir):
+    with open(outdir / "sweep.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_stable_matrix_sweep(tmp_path):
+    """The README stable-matrix experiment, on a small grid."""
+    assert cli.main(["sweep", "--out", str(tmp_path), *EXPERIMENT_SMALL,
+                     "--set", "step.dt=0.005",
+                     "--vary", "model.p=3,4",
+                     "--vary", "model.omega=0,0.1,1",
+                     "--vary", "model.mu=0,1"]) == 0
+    rows = _sweep_rows(tmp_path)
+    assert len(rows) == 10  # (p, omega, mu) grid minus the two undamped points
+    for row in rows:
+        assert row["outcome"] == "completed"
+        report = json.loads(
+            (tmp_path / f"point_{int(row['index']):04d}" / "report.json")
+            .read_text())
+        assert report["certificate"]["violated_at"] is None
+        assert report["equivalence"]["passed"]
+
+
+def test_energy_level_sweep_certifies_only_stable_data(tmp_path):
+    """The README energy-level experiment: no decay rate for unstable data."""
+    assert cli.main(["sweep", "--out", str(tmp_path), *EXPERIMENT_SMALL,
+                     "--set", "model.omega=0",
+                     "--set", "step.dt=0.002",
+                     "--vary", "init.kind=stable,unstable",
+                     "--vary", "init.fraction=0.1,0.3,0.5,0.7,0.9"]) == 0
+    rows = _sweep_rows(tmp_path)
+    assert len(rows) == 10
+    for row in rows:
+        certified = [row[key] for key in ("xi", "xi_fitted", "fit_r2")]
+        if row["init.kind"] == "stable":
+            assert all(certified)
+        else:
+            assert certified == ["", "", ""]

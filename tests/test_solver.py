@@ -130,7 +130,7 @@ class TestDetectBlowup:
         y = 1.0 / (1.0 - t)
         series = TimeSeries.from_arrays(t=t, grad_sq=y**2,
                                         l2_v=np.zeros_like(y))
-        est = dw.detect_blowup(series, solver.BlowupThresholds(norm_threshold=50.0))
+        est = dw.detect_blowup(series, norm_threshold=50.0)
         assert est == pytest.approx(1.0, abs=0.05)
 
     def test_step_failure_with_growth(self):
