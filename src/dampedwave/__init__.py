@@ -7,10 +7,10 @@ from .lyapunov import (DecayCertificate, certify_decay, equivalence_check,
 from .mesh import Domain, GridField, interval, rectangle
 from .series import TimeSeries
 from .solver import (MonitorSet, RunOutcome, StepConfig, Stepper, detect_blowup,
-                     run, step)
+                     run)
 from .well import (Classification, MinimizeOpts, WellConstants, classify,
                    compute_c_star, nehari_scale, prepare_initial_data,
-                   validate_exponent, well_constants)
+                   well_constants)
 
 __all__ = [
     "Classification", "DecayCertificate", "Domain", "EnergyReport", "GridField",
@@ -19,8 +19,7 @@ __all__ = [
     "classify", "compute_c_star", "detect_blowup", "dissipation_rate",
     "equivalence_check", "functional_I", "functional_J", "interval",
     "lyapunov_L", "nehari_scale", "prepare_initial_data", "rectangle", "run",
-    "select_constants", "step", "total_energy", "validate_exponent",
-    "well_constants",
+    "select_constants", "total_energy", "well_constants",
 ]
 
 __version__ = "0.1.0"

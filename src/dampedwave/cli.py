@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import lyapunov, mesh, solver, well
-from .functionals import ModelParams, SimState, total_energy
+from .functionals import ModelParams, SimState
 from .mesh import Domain, GridField
 
 OUTPUT_DIR_ENV = "DAMPEDWAVE_OUTDIR"
@@ -33,14 +33,11 @@ DEFAULTS: dict[str, str] = {
     "init.fraction": "0.5",
     "init.file": "",
     "step.dt": "0.005",
-    "step.picard_tol": "1e-12",
-    "step.picard_max": "50",
     "run.horizon": "20.0",
     "cstar.starts": "8",
     "cstar.max_iter": "100000",
     "cstar.grad_tol": "1e-10",
     "seed": "0",
-    "gnuplot": "0",
     "output.dir": "",
 }
 
@@ -88,9 +85,7 @@ class ExperimentConfig:
                            p=self.get_float("model.p"))
 
     def step_config(self) -> solver.StepConfig:
-        return solver.StepConfig(dt=self.get_float("step.dt"),
-                                 picard_tol=self.get_float("step.picard_tol"),
-                                 picard_max=self.get_int("step.picard_max"))
+        return solver.StepConfig(dt=self.get_float("step.dt"))
 
     def minimize_opts(self) -> well.MinimizeOpts:
         return well.MinimizeOpts(n_starts=self.get_int("cstar.starts"),
@@ -105,12 +100,9 @@ class ExperimentConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
     def validate(self) -> None:
-        dom = self.domain()
-        params = self.model()
-        check = well.validate_exponent(params.p, dom.dim, params.omega)
-        if not check.ok:
-            raise ConfigError(
-                f"p={params.p} outside (2, {check.p_bar}] for this domain/omega")
+        """Build every parsed object once so bad input fails before any work."""
+        self.domain()
+        self.model()
         if self.get_float("run.horizon") <= 0:
             raise ConfigError("run.horizon must be positive")
         self.step_config()
@@ -220,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path,
     initial = _initial_state(cfg, params, wc)
     mesh.write_field(outdir / "u0.txt", initial.u)
     cls = well.classify(initial, params, wc)
-    e0 = total_energy(initial, params).E
+    e0 = cls.E
 
     cert = None
     monitors = solver.MonitorSet(wc=wc)
@@ -253,20 +245,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path,
         summary["equivalence"] = {"passed": equiv.passed,
                                   "n_violations": equiv.n_violations}
     _json_dump(summary, outdir / "report.json")
-    if cfg.get("gnuplot") not in ("", "0", "false"):
-        _write_gnuplot(outdir)
     return summary
-
-
-def _write_gnuplot(outdir: Path) -> None:
-    script = (
-        "set datafile separator ','\n"
-        "set logscale y\n"
-        "set xlabel 't'\n"
-        "plot 'series.csv' using 1:2 with lines title 'E', \\\n"
-        "     'series.csv' using 1:5 with lines title 'L'\n"
-    )
-    (outdir / "plot.gp").write_text(script)
 
 
 def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:

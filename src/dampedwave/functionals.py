@@ -14,22 +14,19 @@ from .mesh import (CorruptFieldError, GridField, grad_norm_sq, l2_norm_sq,
 class ModelParams:
     """PDE coefficients for u_tt + A u + omega*A u_t + mu*u_t = u|u|^(p-2).
 
-    `diagnostic` permits the undamped (omega = mu = 0) conservative mode and
-    marks runs whose monitors are not backed by the damped theory.
-    `source_enabled=False` drops the nonlinearity (linear-mode oracles).
+    The damped theory needs omega + mu > 0; on 1D and 2D domains every
+    p > 2 is admissible.
     """
 
     omega: float
     mu: float
     p: float
-    source_enabled: bool = True
-    diagnostic: bool = False
 
     def __post_init__(self) -> None:
         if self.omega < 0 or self.mu < 0:
             raise ValueError("damping coefficients must be nonnegative")
-        if self.omega == 0 and self.mu == 0 and not self.diagnostic:
-            raise ValueError("need omega + mu > 0 (or diagnostic=True)")
+        if self.omega == 0 and self.mu == 0:
+            raise ValueError("need omega + mu > 0")
         if self.p <= 2:
             raise ValueError(f"source exponent must satisfy p > 2, got {self.p}")
 

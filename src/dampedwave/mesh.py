@@ -145,13 +145,6 @@ def stiffness_matrix(domain: Domain) -> sp.csr_matrix:
     return (sp.kron(ax, iy) + sp.kron(ix, ay)).tocsr()
 
 
-def laplacian_apply(u: GridField) -> GridField:
-    """Apply A (the discrete -Laplacian with zero ghost values)."""
-    _check_finite(u)
-    a = stiffness_matrix(u.domain)
-    return GridField(u.domain, a @ u.values)
-
-
 def grad_norm_sq(u: GridField) -> float:
     """Discrete ||grad u||_2^2 as the weighted stiffness quadratic form."""
     _check_finite(u)

@@ -26,6 +26,8 @@ ENERGY_TOL_COEFF = 100.0  # monotone-energy allowance: coeff * dt^3 * max(1, E0)
 BLOWUP_NORM_THRESHOLD = 1e6  # ||grad u|| + ||u_t|| at which a run has blown up
 GROWTH_WINDOW = 10  # samples over which a failed step must show growth
 FIT_SAMPLES = 30  # trailing samples in the pole fit of T_max
+PICARD_TOL = 1e-12  # relative max-norm change of the midpoint velocity
+PICARD_MAX = 50  # Picard iterations before a step fails
 
 
 class StepFailure(RuntimeError):
@@ -39,14 +41,10 @@ class StepFailure(RuntimeError):
 @dataclass(frozen=True)
 class StepConfig:
     dt: float
-    picard_tol: float = 1e-12
-    picard_max: int = 50
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.picard_tol <= 0:
-            raise ValueError("dt and tolerances must be positive")
-        if self.picard_max < 1:
-            raise ValueError("picard_max must be at least 1")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,6 @@ class Stepper:
                                           0.5 * dt * dt + dt * params.omega)
 
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
-        if not self.params.source_enabled:
-            return np.zeros_like(um)
         return um * np.abs(um) ** (self.params.p - 2.0)
 
     def advance(self, state: SimState) -> tuple[SimState, StepStats]:
@@ -103,7 +99,7 @@ class Stepper:
         # Overflow near blow-up is expected; non-finite values are caught
         # below and surfaced as a step failure.
         with np.errstate(over="ignore", invalid="ignore"):
-            for iters in range(1, self.cfg.picard_max + 1):
+            for iters in range(1, PICARD_MAX + 1):
                 um = u + 0.5 * dt * vm
                 rhs = base + dt * self._nonlinear(um)
                 vm_new = self._solve(rhs)
@@ -112,12 +108,12 @@ class Stepper:
                 if not np.all(np.isfinite(vm)):
                     raise StepFailure("midpoint solve produced non-finite values",
                                       state)
-                if delta <= self.cfg.picard_tol * max(1.0, np.max(np.abs(vm))):
+                if delta <= PICARD_TOL * max(1.0, np.max(np.abs(vm))):
                     converged = True
                     break
         if not converged:
             raise StepFailure(
-                f"Picard stalled after {self.cfg.picard_max} iterations", state)
+                f"Picard stalled after {PICARD_MAX} iterations", state)
         u_new = u + dt * vm
         v_new = 2.0 * vm - v
         diss = (-self.params.omega * self.w * float(vm @ (self.a @ vm))
@@ -126,11 +122,6 @@ class Stepper:
                              GridField(self.domain, u_new),
                              GridField(self.domain, v_new))
         return new_state, StepStats(picard_iters=iters, midpoint_dissipation=diss)
-
-
-def step(state: SimState, params: ModelParams, cfg: StepConfig) -> SimState:
-    """Advance one implicit-midpoint step (one-off; runs cache the stepper)."""
-    return Stepper(state.u.domain, params, cfg).advance(state)[0]
 
 
 def _record(series: TimeSeries, t: float, u: np.ndarray, v: np.ndarray,

@@ -30,27 +30,6 @@ class InfeasibleTargetError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExponentCheck:
-    ok: bool
-    p_bar: float
-
-
-def critical_exponent(dim: int, omega: float) -> float:
-    """Sobolev-critical exponent bound: infinite for dim 1 or 2."""
-    if dim <= 2:
-        return math.inf
-    if omega > 0:
-        return 2.0 * dim / (dim - 2)
-    return (2.0 * dim - 2) / (dim - 2)
-
-
-def validate_exponent(p: float, dim: int, omega: float) -> ExponentCheck:
-    """Check 2 < p <= p_bar(dim, omega)."""
-    p_bar = critical_exponent(dim, omega)
-    return ExponentCheck(ok=(2.0 < p <= p_bar), p_bar=p_bar)
-
-
-@dataclass(frozen=True)
 class WellConstants:
     """Embedding constant, well depth, Nehari distance, Poincare constant."""
 
@@ -127,9 +106,8 @@ def compute_c_star(domain: Domain, p: float,
     Multi-start minimization of ||grad u||_2 / ||u||_p; returns C* = 1/min
     and the minimizer, sign-normalized and with ||u||_p = 1.
     """
-    check = validate_exponent(p, domain.dim, omega=1.0)
-    if not check.ok:
-        raise ValueError(f"p={p} outside (2, {check.p_bar}]")
+    if p <= 2.0:
+        raise ValueError(f"source exponent must satisfy p > 2, got {p}")
     a = mesh.stiffness_matrix(domain)
     w = domain.weight
     rng = np.random.default_rng(opts.seed)

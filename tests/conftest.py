@@ -4,6 +4,19 @@ import pytest
 import dampedwave as dw
 
 
+class SourceFreeStepper(dw.Stepper):
+    """The production stepper with the source u|u|^(p-2) switched off."""
+
+    def _nonlinear(self, um):
+        return np.zeros_like(um)
+
+
+@pytest.fixture(scope="session")
+def source_free_stepper():
+    """The linear-mode stepper class, for closed-form oracles."""
+    return SourceFreeStepper
+
+
 @pytest.fixture(scope="session")
 def dom3():
     """The tiny hand-checkable interval: extent 1, n=3, h=0.25."""

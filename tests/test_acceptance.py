@@ -117,11 +117,10 @@ def test_ac3_exponential_decay(stable_matrix):
     assert verdict("AC-3", ok, f"failures: {failures}")
 
 
-def test_ac4_linear_mode_oracle():
+def test_ac4_linear_mode_oracle(source_free_stepper):
     """Source-free eigenmode run matches the damped-oscillator closed form."""
     dom = dw.interval(1.0, N_MATRIX)
-    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0, source_enabled=False,
-                            diagnostic=True)
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     lam = mesh.eigenvalue(dom)
     s1, s2 = np.roots([1.0, params.omega * lam + params.mu, lam])
     phi = mesh.eigenmode(dom)
@@ -134,7 +133,7 @@ def test_ac4_linear_mode_oracle():
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = dw.StepConfig(dt=dt)
         state = dw.SimState.rest(phi)
-        stepper = dw.Stepper(dom, params, cfg)
+        stepper = source_free_stepper(dom, params, cfg)
         for _ in range(int(round(1.0 / dt))):
             state, _ = stepper.advance(state)
         errs.append(np.max(np.abs(state.u.values - exact(state.t) * phi.values)))
@@ -143,7 +142,7 @@ def test_ac4_linear_mode_oracle():
     # decay rate through the slow-mode complex amplitude |c' - s2 c|
     cfg = dw.StepConfig(dt=1e-3)
     state = dw.SimState.rest(phi)
-    stepper = dw.Stepper(dom, params, cfg)
+    stepper = source_free_stepper(dom, params, cfg)
     norm2 = float(phi.values @ phi.values)
     ts, zs = [], []
     for _ in range(int(round(6.0 / cfg.dt))):

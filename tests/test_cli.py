@@ -35,7 +35,9 @@ def test_invalid_exponent_exits_1(tmp_path, capsys):
 def test_undamped_run_exits_1(tmp_path, capsys):
     assert cli.main(["run", "--out", str(tmp_path / "out"), *FAST,
                      "--set", "model.omega=0", "--set", "model.mu=0"]) == 1
-    assert "omega + mu > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "omega + mu > 0" in err
+    assert "diagnostic" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -123,12 +125,6 @@ def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     assert cli.main(["well", *FAST]) == 0
     assert (tmp_path / "envout" / "well.json").exists()
-
-
-def test_gnuplot_script(tmp_path):
-    assert cli.main(["run", "--out", str(tmp_path), *FAST,
-                     "--set", "gnuplot=1"]) == 0
-    assert (tmp_path / "plot.gp").exists()
 
 
 def test_sweep_computes_c_star_once_per_exponent(tmp_path, monkeypatch):

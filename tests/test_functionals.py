@@ -20,8 +20,6 @@ def test_params_validation():
         dw.ModelParams(omega=1.0, mu=1.0, p=2.0)
     with pytest.raises(ValueError):
         dw.ModelParams(omega=-1.0, mu=1.0, p=4.0)
-    # conservative mode must be explicitly flagged
-    dw.ModelParams(omega=0.0, mu=0.0, p=4.0, diagnostic=True)
 
 
 def test_state_domain_mismatch():

@@ -12,37 +12,21 @@ def test_step_config_validation():
     with pytest.raises(ValueError):
         dw.StepConfig(dt=0.0)
     with pytest.raises(ValueError):
-        dw.StepConfig(dt=1e-3, picard_tol=-1.0)
+        dw.StepConfig(dt=-1e-3)
 
 
 def test_zero_is_fixed_point(dom63):
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     state = dw.SimState.rest(dw.GridField.zeros(dom63))
-    cfg = dw.StepConfig(dt=1e-2)
+    stepper = dw.Stepper(dom63, params, dw.StepConfig(dt=1e-2))
     for _ in range(5):
-        state = dw.step(state, params, cfg)
+        state = stepper.advance(state)[0]
     assert not state.u.values.any()
     assert not state.v.values.any()
 
 
-def test_time_symmetry_of_undamped_core(dom63, rng):
-    # conservative source-free mode: reversing the velocity and stepping
-    # forward must retrace the trajectory
-    params = dw.ModelParams(omega=0.0, mu=0.0, p=4.0, source_enabled=False,
-                            diagnostic=True)
-    cfg = dw.StepConfig(dt=1e-2, picard_tol=1e-14)
-    u = dw.GridField(dom63, rng.standard_normal(dom63.size))
-    v = dw.GridField(dom63, rng.standard_normal(dom63.size))
-    fwd = dw.step(dw.SimState(0.0, u, v), params, cfg)
-    back = dw.step(dw.SimState(0.0, fwd.u, dw.GridField(dom63, -fwd.v.values)),
-                   params, cfg)
-    np.testing.assert_allclose(back.u.values, u.values, atol=1e-10)
-    np.testing.assert_allclose(-back.v.values, v.values, atol=1e-10)
-
-
-def test_linear_mode_oracle(dom63):
-    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0, source_enabled=False,
-                            diagnostic=True)
+def test_linear_mode_oracle(dom63, source_free_stepper):
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     lam = mesh.eigenvalue(dom63)
     s1, s2 = np.roots([1.0, params.omega * lam + params.mu, lam])
     phi = mesh.eigenmode(dom63)
@@ -53,7 +37,7 @@ def test_linear_mode_oracle(dom63):
 
     cfg = dw.StepConfig(dt=2e-3)
     state = dw.SimState.rest(phi)
-    stepper = dw.Stepper(dom63, params, cfg)
+    stepper = source_free_stepper(dom63, params, cfg)
     for _ in range(int(round(1.0 / cfg.dt))):
         state, _ = stepper.advance(state)
     err = np.max(np.abs(state.u.values - exact(state.t) * phi.values))
@@ -177,8 +161,12 @@ def test_series_rows_match_public_functions(dom, n_steps):
     stride = 1 if dom.size <= solver.SAMPLE_EVERY_STEP_MAX_NODES else 10
     stepper = dw.Stepper(dom, params, cfg)
     states = [initial]
-    for k in range(1, n_steps + 1):
-        states.append(stepper.advance(states[-1])[0])
+    for _ in range(n_steps):
+        state, stats = stepper.advance(states[-1])
+        vm = dw.GridField(dom, 0.5 * (states[-1].v.values + state.v.values))
+        want = dw.dissipation_rate(dw.SimState(state.t, state.u, vm), params)
+        assert stats.midpoint_dissipation == pytest.approx(want, rel=1e-12, abs=0)
+        states.append(state)
     sampled = [s for k, s in enumerate(states)
                if k % stride == 0 or k == n_steps]
     assert len(series) == len(sampled)
@@ -188,8 +176,7 @@ def test_series_rows_match_public_functions(dom, n_steps):
         assert rep.grad_sq == mesh.grad_norm_sq(state.u)
         assert rep.lp_p == mesh.lp_norm_p(state.u, params.p)
         assert rep.kinetic == 0.5 * mesh.l2_norm_sq(state.v)
-        ell = (rep.E + eps * mesh.inner(state.v, state.u)
-               + 0.5 * eps * params.omega * rep.grad_sq)
+        ell = dw.lyapunov_L(state, params, eps)
         expected = (state.t, rep.E, rep.I, rep.J, ell, rep.kinetic, rep.grad_sq,
                     rep.lp_p, mesh.l2_norm_sq(state.v), mesh.grad_norm_sq(state.v))
         assert row == expected

@@ -8,24 +8,20 @@ from dampedwave import mesh, well
 
 
 class TestValidateExponent:
+    """On 1D and 2D domains every p > 2 is admissible, whatever the damping."""
+
     def test_low_dimensions_unbounded(self):
-        assert dw.validate_exponent(17.0, 1, omega=1.0).ok
-        assert dw.validate_exponent(17.0, 2, omega=0.0).ok
-        assert math.isinf(dw.validate_exponent(3.0, 1, 1.0).p_bar)
+        dw.ModelParams(omega=0.0, mu=1.0, p=17.0)
+        for dom in (dw.interval(1.0, 15), dw.rectangle((1.0, 1.5), (5, 7))):
+            c_star, _ = dw.compute_c_star(dom, 17.0, dw.MinimizeOpts(n_starts=2))
+            assert math.isfinite(c_star) and c_star > 0
 
-    def test_dim3_strong_damping(self):
-        check = dw.validate_exponent(6.0, 3, omega=1.0)
-        assert check.p_bar == pytest.approx(6.0)
-        assert check.ok
-        assert not dw.validate_exponent(6.5, 3, omega=1.0).ok
-
-    def test_dim3_no_strong_damping(self):
-        check = dw.validate_exponent(5.0, 3, omega=0.0)
-        assert check.p_bar == pytest.approx(4.0)
-        assert not check.ok
-
-    def test_p_below_2_rejected(self):
-        assert not dw.validate_exponent(2.0, 1, 1.0).ok
+    def test_p_below_2_rejected(self, dom3):
+        for p in (2.0, 1.5):
+            with pytest.raises(ValueError, match="p > 2"):
+                dw.ModelParams(omega=1.0, mu=1.0, p=p)
+            with pytest.raises(ValueError, match="p > 2"):
+                dw.compute_c_star(dom3, p)
 
 
 class TestWellConstants:
