@@ -34,10 +34,9 @@ DEFAULTS: dict[str, str] = {
     "init.file": "",
     "step.dt": "0.005",
     "run.horizon": "20.0",
-    "cstar.starts": "8",
-    "cstar.max_iter": "100000",
+    "cstar.max_iter": "1000",
     "cstar.grad_tol": "1e-10",
-    "seed": "0",
+    "seed": "0",                 # no effect: C* is computed deterministically
     "output.dir": "",
 }
 
@@ -88,8 +87,7 @@ class ExperimentConfig:
         return solver.StepConfig(dt=self.get_float("step.dt"))
 
     def minimize_opts(self) -> well.MinimizeOpts:
-        return well.MinimizeOpts(n_starts=self.get_int("cstar.starts"),
-                                 max_iter=self.get_int("cstar.max_iter"),
+        return well.MinimizeOpts(max_iter=self.get_int("cstar.max_iter"),
                                  grad_tol=self.get_float("cstar.grad_tol"),
                                  seed=self.get_int("seed"))
 
@@ -135,17 +133,9 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _well_report(cfg: ExperimentConfig, memo: dict | None = None
-                 ) -> tuple[well.WellConstants, dict]:
-    """Constants and their report; `memo` reuses C* across one sweep's points."""
+def _well_report(cfg: ExperimentConfig) -> tuple[well.WellConstants, dict]:
     dom = cfg.domain()
-    p = cfg.get_float("model.p")
-    opts = cfg.minimize_opts()
-    memo = {} if memo is None else memo
-    key = (dom, p, opts)
-    if key not in memo:
-        memo[key] = well.well_constants(dom, p, opts)
-    wc = memo[key]
+    wc = well.well_constants(dom, cfg.get_float("model.p"), cfg.minimize_opts())
     report = {
         "c_star": wc.c_star,
         "d": wc.d,
@@ -154,8 +144,8 @@ def _well_report(cfg: ExperimentConfig, memo: dict | None = None
         "p": wc.p,
         "domain": wc.fingerprint,
         "resolution": list(dom.n),
-        "seed": cfg.get_int("seed"),
-        "starts": cfg.get_int("cstar.starts"),
+        "iterations": wc.iterations,
+        "residual": wc.residual,
     }
     return wc, report
 
@@ -201,14 +191,13 @@ def _certificate_dict(cert: lyapunov.DecayCertificate) -> dict:
             "violated_at": cert.violated_at}
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: Path,
-                   well_memo: dict | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
     """One full run: constants, data, trajectory, certification, reports."""
     cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     params = cfg.model()
     step_cfg = cfg.step_config()
-    wc, well_report = _well_report(cfg, well_memo)
+    wc, well_report = _well_report(cfg)
     initial = _initial_state(cfg, params, wc)
     mesh.write_field(outdir / "u0.txt", initial.u)
     cls = well.classify(initial, params, wc)
@@ -289,11 +278,10 @@ SWEEP_COLUMNS = ("index", "outcome", "E0", "d", "xi", "xi_fitted", "fit_r2",
                  "t_max_estimate", "error")
 
 
-def _run_point(point_cfg: ExperimentConfig, point_dir: Path,
-               well_memo: dict) -> dict:
+def _run_point(point_cfg: ExperimentConfig, point_dir: Path) -> dict:
     """One sweep point's summary, or {"error": ...} when the point fails."""
     try:
-        return run_experiment(point_cfg, point_dir, well_memo)
+        return run_experiment(point_cfg, point_dir)
     except (ConfigError, ValueError) as exc:
         return {"error": f"config: {exc}"}
     except (well.ConvergenceError, solver.StepFailure, RuntimeError) as exc:
@@ -309,7 +297,6 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str]) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    well_memo: dict = {}  # C* per distinct (domain, p, MinimizeOpts)
     for idx, combo in enumerate(points):
         point_cfg = cfg
         for key, value in zip(keys, combo):
@@ -318,8 +305,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str]) -> int:
                 and point_cfg.get_float("model.mu") == 0.0):
             continue  # undamped: outside the theory, ModelParams rejects it
         results.append((idx, combo,
-                        _run_point(point_cfg, outdir / f"point_{idx:04d}",
-                                   well_memo)))
+                        _run_point(point_cfg, outdir / f"point_{idx:04d}")))
 
     path = outdir / "sweep.csv"
     with open(path, "w") as fh:

@@ -1,12 +1,13 @@
 """Variational constants and potential-well classification.
 
-Computes the best embedding constant by constrained minimization, derives
+Computes the best embedding constant by a fixed-point iteration, derives
 the well depth and the Nehari distance from it, and classifies states
 against the Nehari manifold.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from .mesh import Domain, GridField
 
 
 class ConvergenceError(RuntimeError):
-    """Constrained minimization did not reach the gradient tolerance."""
+    """The C* iteration did not reach the gradient tolerance."""
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)
@@ -31,7 +32,11 @@ class InfeasibleTargetError(ValueError):
 
 @dataclass(frozen=True)
 class WellConstants:
-    """Embedding constant, well depth, Nehari distance, Poincare constant."""
+    """Embedding constant, well depth, Nehari distance, Poincare constant.
+
+    `iterations` and `residual` record how C* was computed (see
+    `compute_c_star`); they are 0 for constants built from a given C*.
+    """
 
     c_star: float
     d: float
@@ -39,105 +44,90 @@ class WellConstants:
     lambda1: float
     p: float
     fingerprint: str
+    iterations: int = 0
+    residual: float = 0.0
 
     @classmethod
     def from_c_star(cls, c_star: float, p: float, lambda1: float,
-                    fingerprint: str = "") -> "WellConstants":
+                    fingerprint: str = "", iterations: int = 0,
+                    residual: float = 0.0) -> "WellConstants":
         # d and beta are defined by these identities; they hold exactly.
         d = ((p - 2.0) / (2.0 * p)) * c_star ** (-2.0 * p / (p - 2.0))
         beta = math.sqrt(2.0 * d * p / (p - 2.0))
         return cls(c_star=c_star, d=d, beta=beta, lambda1=lambda1,
-                   p=p, fingerprint=fingerprint)
+                   p=p, fingerprint=fingerprint, iterations=iterations,
+                   residual=residual)
 
 
 @dataclass(frozen=True)
 class MinimizeOpts:
-    n_starts: int = 8
-    max_iter: int = 100_000
+    """Iteration cap and relative-gradient tolerance of the C* iteration.
+
+    `seed` has no effect, because the iteration is deterministic; it is
+    accepted so that callers which pass it keep working.
+    """
+
+    max_iter: int = 1000
     grad_tol: float = 1e-10
     seed: int = 0
 
 
-def _ratio_and_grad(a, w: float, p: float, x: np.ndarray):
-    """Rayleigh-type ratio R(x) = sqrt(grad_sq)/lp^(1/p) and its gradient."""
-    ax = a @ x
-    g = w * float(x @ ax)
-    pw = w * float(np.sum(np.abs(x) ** p))
-    r = math.sqrt(g) / pw ** (1.0 / p)
-    grad_g = 2.0 * w * ax
-    grad_p = p * w * np.abs(x) ** (p - 2.0) * x
-    grad_r = r * (grad_g / (2.0 * g) - grad_p / (p * pw))
-    return r, grad_r, pw
-
-
-def _descend(a, w: float, p: float, x0: np.ndarray, opts: MinimizeOpts):
-    """Normalized gradient descent with Barzilai-Borwein steps on R."""
-    x = x0 / (w * np.sum(np.abs(x0) ** p)) ** (1.0 / p)
-    r, grad, _ = _ratio_and_grad(a, w, p, x)
-    tau = 1e-2 / max(np.linalg.norm(grad), 1e-30)
-    relgrad = math.inf
-    for _ in range(opts.max_iter):
-        relgrad = np.linalg.norm(grad) * np.linalg.norm(x) / r
-        if relgrad < opts.grad_tol:
-            return x, r, relgrad, True
-        x_new = x - tau * grad
-        x_new /= (w * np.sum(np.abs(x_new) ** p)) ** (1.0 / p)
-        r_new, grad_new, _ = _ratio_and_grad(a, w, p, x_new)
-        # Nonmonotone acceptance: BB steps may raise R slightly; only large
-        # jumps are rejected, otherwise the descent stalls at roundoff level.
-        if not math.isfinite(r_new) or r_new > 1.1 * r:
-            tau *= 0.5
-            continue
-        s = x_new - x
-        y = grad_new - grad
-        sy = float(s @ y)
-        if sy > 0:
-            tau = min(max(float(s @ s) / sy, 1e-14), 1e6)
-        else:
-            tau = max(2.0 * tau, 1e-2 / max(np.linalg.norm(grad_new), 1e-30))
-        x, r, grad = x_new, r_new, grad_new
-    return x, r, relgrad, relgrad < opts.grad_tol
-
-
-def compute_c_star(domain: Domain, p: float,
-                   opts: MinimizeOpts = MinimizeOpts()) -> tuple[float, GridField]:
+def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts(),
+                   stats: dict | None = None) -> tuple[float, GridField]:
     """Best constant of the H^1_0 -> L^p embedding on the discrete domain.
 
-    Multi-start minimization of ||grad u||_2 / ||u||_p; returns C* = 1/min
-    and the minimizer, sign-normalized and with ||u||_p = 1.
+    Minimizes R(u) = ||grad u||_2 / ||u||_p by the Petviashvili iteration for
+    the ground state A u = u|u|^(p-2) (Petviashvili, Sov. J. Plasma Phys. 2,
+    1976; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42, 2004), started
+    from the first eigenmode: u <- M^((p-1)/(p-2)) A^(-1) f with
+    f = u|u|^(p-2) and M = u'Au / u'f.  The step sends u and c*u to the same
+    iterate, so the factor M^((p-1)/(p-2)) only sets the amplitude, which is
+    that of the ground state, about lambda1^(1/(p-2)) and beyond the float
+    range for p near 2.  Each iterate is therefore rescaled to max|u| = 1,
+    which leaves the sequence of shapes unchanged.  The iteration stops when
+    the relative gradient ||grad R|| ||u|| / R falls below `opts.grad_tol`.
+
+    Returns C* = 1/min R and the minimizer, sign-normalized and with
+    ||u||_p = 1.  A given `stats` dict receives the number of iterations and
+    the final relative gradient under "iterations" and "residual".
     """
     if p <= 2.0:
         raise ValueError(f"source exponent must satisfy p > 2, got {p}")
     a = mesh.stiffness_matrix(domain)
     w = domain.weight
-    rng = np.random.default_rng(opts.seed)
-    starts = [mesh.eigenmode(domain).values]
-    starts.extend(rng.standard_normal(domain.size) for _ in range(opts.n_starts))
-
-    best = None
+    solve = mesh.shifted_solver(domain, 0.0, 1.0)
+    x = mesh.eigenmode(domain).values
     best_residual = math.inf
-    for x0 in starts:
-        x, r, relgrad, ok = _descend(a, w, p, x0, opts)
+    for iterations in itertools.count():
+        ax = a @ x
+        f = x * np.abs(x) ** (p - 2.0)
+        xax, xf = float(x @ ax), float(x @ f)
+        relgrad = float(np.linalg.norm(ax / xax - f / xf) * np.linalg.norm(x))
         best_residual = min(best_residual, relgrad)
-        if ok and (best is None or r < best[1]):
-            best = (x, r)
-    if best is None:
-        raise ConvergenceError(
-            f"no start converged below grad_tol={opts.grad_tol}; best relative "
-            f"gradient {best_residual:.3e}", best_residual)
-    x, r = best
+        if relgrad < opts.grad_tol:
+            break
+        if iterations >= opts.max_iter or not math.isfinite(relgrad):
+            raise ConvergenceError(
+                f"no start converged below grad_tol={opts.grad_tol}; best "
+                f"relative gradient {best_residual:.3e}", best_residual)
+        x = solve(f)
+        x /= np.abs(x).max()
+    if stats is not None:
+        stats.update(iterations=iterations, residual=relgrad)
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
-    x /= (w * np.sum(np.abs(x) ** p)) ** (1.0 / p)
-    return 1.0 / r, GridField(domain, x)
+    lp = (w * xf) ** (1.0 / p)
+    return lp / math.sqrt(w * xax), GridField(domain, x / lp)
 
 
 def well_constants(domain: Domain, p: float,
                    opts: MinimizeOpts = MinimizeOpts()) -> WellConstants:
     """C*, d, beta and the discrete Poincare constant for one domain."""
-    c_star, _ = compute_c_star(domain, p, opts)
+    stats: dict = {}
+    c_star, _ = compute_c_star(domain, p, opts, stats)
     lambda1 = mesh.eigenvalue(domain)
-    return WellConstants.from_c_star(c_star, p, lambda1, domain.fingerprint())
+    return WellConstants.from_c_star(c_star, p, lambda1, domain.fingerprint(),
+                                     stats["iterations"], stats["residual"])
 
 
 def nehari_scale(u: GridField, p: float) -> float:

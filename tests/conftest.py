@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 import dampedwave as dw
+from dampedwave import mesh
 
 
 class SourceFreeStepper(dw.Stepper):
@@ -15,6 +19,32 @@ class SourceFreeStepper(dw.Stepper):
 def source_free_stepper():
     """The linear-mode stepper class, for closed-form oracles."""
     return SourceFreeStepper
+
+
+def _lbfgs_c_star(dom, p, starts):
+    """Largest 1/R over L-BFGS minimizations of R = ||grad u||_2 / ||u||_p."""
+    a = mesh.stiffness_matrix(dom)
+    w = dom.weight
+
+    def ratio(x):
+        ax = a @ x
+        g = w * float(x @ ax)
+        pw = w * float(np.sum(np.abs(x) ** p))
+        r = math.sqrt(g) / pw ** (1 / p)
+        grad = r * (w * ax / g - w * np.abs(x) ** (p - 2) * x / pw)
+        return r, grad
+
+    best = min(scipy.optimize.minimize(ratio, x0, jac=True, method="L-BFGS-B",
+                                       options=dict(maxiter=5000, ftol=1e-18,
+                                                    gtol=1e-14)).fun
+               for x0 in starts)
+    return 1.0 / best
+
+
+@pytest.fixture(scope="session")
+def lbfgs_c_star():
+    """Independent C* oracle: L-BFGS on the scale-invariant ratio from given starts."""
+    return _lbfgs_c_star
 
 
 @pytest.fixture(scope="session")

@@ -181,7 +181,7 @@ def test_ac5_blowup_alternative(domain, constants):
                    f"max grad {grad.max():.3e} vs 100*beta {100 * wc.beta:.3e}")
 
 
-def test_ac6_variational_constants():
+def test_ac6_variational_constants(lbfgs_c_star):
     """C* is resolution-consistent, oracle-consistent, and ties to d, beta."""
     p = 4.0
     c127, _ = dw.compute_c_star(dw.interval(1.0, 127), p)
@@ -189,26 +189,9 @@ def test_ac6_variational_constants():
     c255, minimizer = dw.compute_c_star(dom, p)
 
     # independent multi-start oracle on the scale-invariant Rayleigh ratio
-    a = mesh.stiffness_matrix(dom)
-    w = dom.weight
-
-    def ratio(x):
-        ax = a @ x
-        g = w * float(x @ ax)
-        pw = w * float(np.sum(np.abs(x) ** p))
-        r = math.sqrt(g) / pw ** (1 / p)
-        grad = r * (w * ax / g - w * np.abs(x) ** (p - 2) * x / pw)
-        return r, grad
-
     rng = np.random.default_rng(123)
-    best = math.inf
-    for _ in range(50):
-        res = scipy.optimize.minimize(ratio, rng.standard_normal(dom.size),
-                                      jac=True, method="L-BFGS-B",
-                                      options=dict(maxiter=5000, ftol=1e-18,
-                                                   gtol=1e-14))
-        best = min(best, res.fun)
-    oracle = 1.0 / best
+    oracle = lbfgs_c_star(dom, p, [rng.standard_normal(dom.size)
+                                   for _ in range(50)])
 
     wc = well.WellConstants.from_c_star(c255, p, mesh.eigenvalue(dom))
     identity_d = abs(wc.d - (p - 2) / (2 * p) * c255 ** (-2 * p / (p - 2)))

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave import cli, mesh, well
+from dampedwave import cli, mesh
 from dampedwave.series import TimeSeries
 
 FAST = [
     "--set", "domain.n=31",
     "--set", "run.horizon=0.2",
     "--set", "step.dt=0.01",
-    "--set", "cstar.starts=2",
 ]
 
 
@@ -25,6 +24,9 @@ def test_well_report_and_determinism(tmp_path):
     report = json.loads(text1)
     for key in ("c_star", "d", "beta", "lambda1", "resolution"):
         assert key in report
+    assert 0 < report["iterations"] <= 1000
+    assert report["residual"] < 1e-10
+    assert "starts" not in report and "seed" not in report
 
 
 def test_invalid_exponent_exits_1(tmp_path, capsys):
@@ -127,25 +129,7 @@ def test_output_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "well.json").exists()
 
 
-def test_sweep_computes_c_star_once_per_exponent(tmp_path, monkeypatch):
-    calls = []
-    original = well.compute_c_star
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(well, "compute_c_star", counting)
-    assert cli.main(["sweep", "--out", str(tmp_path), *FAST,
-                     "--vary", "model.p=3,4",
-                     "--vary", "model.omega=0,0.1"]) == 0
-    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-    assert len(lines) == 1 + 4
-    assert len(calls) == 2
-
-
-EXPERIMENT_SMALL = ["--set", "domain.n=15", "--set", "run.horizon=0.5",
-                    "--set", "cstar.starts=2"]
+EXPERIMENT_SMALL = ["--set", "domain.n=15", "--set", "run.horizon=0.5"]
 
 
 def _sweep_rows(outdir):

@@ -7,14 +7,47 @@ import dampedwave as dw
 from dampedwave import mesh, well
 
 
+def _continuum_c_star(length, p):
+    """Sharp constant of H^1_0(0, L) -> L^p, after E. Schmidt (1940).
+
+    From the first integral of the extremal's equation -u'' = u^(p-1).
+    """
+    def beta(x, y):
+        return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+
+    peak = ((length / 2) * p / (math.sqrt(p / 2) * beta(1 / p, 0.5))) ** (
+        1 / (1 - p / 2))
+    integral = 2 * math.sqrt(p / 2) * peak ** (p / 2 + 1) * beta(1 + 1 / p, 0.5) / p
+    return integral ** (-(p - 2) / (2 * p))
+
+
 class TestValidateExponent:
     """On 1D and 2D domains every p > 2 is admissible, whatever the damping."""
 
     def test_low_dimensions_unbounded(self):
         dw.ModelParams(omega=0.0, mu=1.0, p=17.0)
         for dom in (dw.interval(1.0, 15), dw.rectangle((1.0, 1.5), (5, 7))):
-            c_star, _ = dw.compute_c_star(dom, 17.0, dw.MinimizeOpts(n_starts=2))
+            c_star, _ = dw.compute_c_star(dom, 17.0)
             assert math.isfinite(c_star) and c_star > 0
+
+    @pytest.mark.parametrize("p", [12.0, 17.0])
+    def test_large_p_on_rectangle_is_global(self, p, lbfgs_c_star):
+        """At large p the ratio has many local minima, spikes at single nodes.
+
+        White-noise starts end in spikes near the boundary, with a lower C*,
+        so the L-BFGS oracle starts from randomly perturbed eigenmodes; it
+        must find no lower ratio than the computed minimizer.
+        """
+        dom = dw.rectangle((1.5, 1.0), (47, 31))
+        c_star, _ = dw.compute_c_star(dom, p)
+        phi = mesh.eigenmode(dom).values
+        rng = np.random.default_rng(123)
+        oracle = lbfgs_c_star(dom, p, [phi * (1 + 0.5 * rng.uniform(-1, 1, dom.size))
+                                       for _ in range(16)])
+        assert abs(oracle - c_star) <= 1e-6
+        assert oracle <= c_star * (1 + 1e-9)
+        if p == 17.0:
+            assert c_star > 0.56  # a spike near the boundary gives 0.4876
 
     def test_p_below_2_rejected(self, dom3):
         for p in (2.0, 1.5):
@@ -41,6 +74,21 @@ class TestWellConstants:
             lp = mesh.lp_norm_p(u, 4.0) ** 0.25
             grad = math.sqrt(mesh.grad_norm_sq(u))
             assert lp <= wc63_p4.c_star * grad * (1 + 1e-8)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 17.0])
+    def test_second_order_convergence_to_continuum(self, p):
+        exact = _continuum_c_star(1.0, p)
+        errors = [abs(dw.compute_c_star(dw.interval(1.0, n), p)[0] - exact)
+                  for n in (31, 63, 127, 255)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.1)
+
+    def test_seed_has_no_effect(self):
+        for dom in (dw.interval(1.0, 63), dw.rectangle((1.5, 1.0), (47, 31))):
+            c0, u0 = dw.compute_c_star(dom, 4.0, dw.MinimizeOpts(seed=0))
+            c1, u1 = dw.compute_c_star(dom, 4.0, dw.MinimizeOpts(seed=12345))
+            assert c0 == c1
+            assert np.array_equal(u0.values, u1.values)
 
     def test_monotone_refinement(self):
         values = [dw.compute_c_star(dw.interval(1.0, n), 4.0)[0]
