@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ DEFAULTS: dict[str, str] = {
     "cstar.max_iter": "1000",
     "cstar.grad_tol": "1e-10",
     "seed": "0",                 # no effect: C* is computed deterministically
-    "output.dir": "",
 }
 
 
@@ -57,9 +57,12 @@ class ExperimentConfig:
 
     def get_float(self, key: str) -> float:
         try:
-            return float(self.get(key))
+            value = float(self.get(key))
         except ValueError as exc:
             raise ConfigError(f"{key}: not a number") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: not a finite number")
+        return value
 
     def get_int(self, key: str) -> int:
         try:
@@ -91,12 +94,6 @@ class ExperimentConfig:
                                  grad_tol=self.get_float("cstar.grad_tol"),
                                  seed=self.get_int("seed"))
 
-    def output_dir(self) -> Path:
-        configured = self.get("output.dir")
-        if configured:
-            return Path(configured)
-        return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-
     def validate(self) -> None:
         """Build every parsed object once so bad input fails before any work."""
         self.domain()
@@ -104,6 +101,7 @@ class ExperimentConfig:
         if self.get_float("run.horizon") <= 0:
             raise ConfigError("run.horizon must be positive")
         self.step_config()
+        self.minimize_opts()
 
 
 def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
@@ -352,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="key=value config file")
         cmd.add_argument("--set", action="append", default=[], metavar="K=V",
                          dest="overrides", help="override one config key")
-        cmd.add_argument("--out", help="output directory (default: output.dir "
-                         f"key, then ${OUTPUT_DIR_ENV}, then cwd)")
+        cmd.add_argument("--out", help="output directory (default: "
+                         f"${OUTPUT_DIR_ENV}, then cwd)")
         if name == "sweep":
             cmd.add_argument("--vary", action="append", default=[],
                              metavar="K=V1,V2,...", help="grid axis (repeatable)")
@@ -364,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        outdir = Path(args.out) if args.out else cfg.output_dir()
+        outdir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "."))
         if args.command == "well":
             return cmd_well(cfg, outdir)
         if args.command == "run":

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (CorruptFieldError, GridField, grad_norm_sq, l2_norm_sq,
-                   lp_norm_p, stiffness_matrix)
+                   lp_norm_p, stiffness)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def total_energy(state: SimState, params: ModelParams) -> EnergyReport:
     domain = state.u.domain
     u = state.u.values
     E, I, J, kinetic, grad_sq, lp_p, _ = energy_terms(
-        u, stiffness_matrix(domain) @ u, state.v.values, domain.weight, params.p)
+        u, stiffness(domain)(u), state.v.values, domain.weight, params.p)
     return EnergyReport(t=state.t, I=I, J=J, E=E, kinetic=kinetic,
                         grad_sq=grad_sq, lp_p=lp_p)
 

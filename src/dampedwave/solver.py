@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import mesh
 from .functionals import ModelParams, SimState, energy_terms
@@ -28,6 +27,8 @@ GROWTH_WINDOW = 10  # samples over which a failed step must show growth
 FIT_SAMPLES = 30  # trailing samples in the pole fit of T_max
 PICARD_TOL = 1e-12  # relative max-norm change of the midpoint velocity
 PICARD_MAX = 50  # Picard iterations before a step fails
+POLE_RTOL = 1e-9  # T_max search stops at this bracket width over its upper end
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class StepFailure(RuntimeError):
@@ -80,7 +81,7 @@ class Stepper:
         self.domain = domain
         self.params = params
         self.cfg = cfg
-        self.a = mesh.stiffness_matrix(domain)
+        self.a = mesh.stiffness(domain)
         self.w = domain.weight
         dt = cfg.dt
         self._solve = mesh.shifted_solver(domain, 2.0 + dt * params.mu,
@@ -89,10 +90,14 @@ class Stepper:
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
         return um * np.abs(um) ** (self.params.p - 2.0)
 
-    def advance(self, state: SimState) -> tuple[SimState, StepStats]:
+    def advance(self, state: SimState,
+                au: np.ndarray | None = None) -> tuple[SimState, StepStats]:
+        """One midpoint step; `au` is A @ u for the state, if already known."""
         dt = self.cfg.dt
         u, v = state.u.values, state.v.values
-        base = 2.0 * v - dt * (self.a @ u)
+        if au is None:
+            au = self.a(u)
+        base = 2.0 * v - dt * au
         vm = v.copy()
         converged = False
         iters = 0
@@ -116,7 +121,7 @@ class Stepper:
                 f"Picard stalled after {PICARD_MAX} iterations", state)
         u_new = u + dt * vm
         v_new = 2.0 * vm - v
-        diss = (-self.params.omega * self.w * float(vm @ (self.a @ vm))
+        diss = (-self.params.omega * self.w * float(vm @ self.a(vm))
                 - self.params.mu * self.w * float(vm @ vm))
         new_state = SimState(state.t + dt,
                              GridField(self.domain, u_new),
@@ -133,7 +138,7 @@ def _record(series: TimeSeries, t: float, u: np.ndarray, v: np.ndarray,
     omega = stepper.params.omega
     if omega > 0:
         ell += 0.5 * epsilon * omega * grad_sq
-    grad_v = max(w * float(v @ (stepper.a @ v)), 0.0)
+    grad_v = max(w * float(v @ stepper.a(v)), 0.0)
     series.append(t=t, E=E, I=I, J=J, L=ell, kinetic=kinetic, grad_sq=grad_sq,
                   lp_p=lp_p, l2_v=l2_v, grad_v_sq=grad_v)
 
@@ -143,7 +148,8 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
     """Integrate to the horizon, sampling diagnostics and enforcing monitors.
 
     The energy is evaluated once per step on raw arrays; the drift, the
-    monitors and the sampled row all share that evaluation.
+    monitors and the sampled row all share that evaluation, and its A @ u
+    also serves the next step.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -157,7 +163,8 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
 
     series = TimeSeries()
     u, v = initial.u.values, initial.v.values
-    terms = energy_terms(u, a @ u, v, w, p)
+    au = a(u)
+    terms = energy_terms(u, au, v, w, p)
     _record(series, initial.t, u, v, terms, stepper, eps)
     e0 = terms[0]
     e_prev = e0
@@ -168,7 +175,7 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
 
     for k in range(1, n_steps + 1):
         try:
-            state, stats = stepper.advance(state)
+            state, stats = stepper.advance(state, au)
         except StepFailure as failure:
             est = detect_blowup(series, step_failed=True)
             if est is not None:
@@ -177,7 +184,8 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
                     details=str(failure), energy_drift=drift)
             raise
         u, v = state.u.values, state.v.values
-        terms = energy_terms(u, a @ u, v, w, p)
+        au = a(u)
+        terms = energy_terms(u, au, v, w, p)
         e_now = terms[0]
         drift += abs(e_now - e_prev - dt * stats.midpoint_dissipation)
         if k % stride == 0 or k == n_steps:
@@ -208,7 +216,7 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
 
 
 def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float | None:
-    """Fit y ~ C (T - t)^(-alpha) by scanning T; returns the best T."""
+    """Fit y ~ C (T - t)^(-alpha) by golden-section search over T; returns T."""
     def misfit(T: float) -> float:
         logs = np.log(T - t)
         coeffs = np.polyfit(logs, np.log(y), 1)
@@ -218,12 +226,22 @@ def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float | None
     t_end = t[-1]
     lo = t_end + 1e-9 * max(horizon_span, 1.0)
     hi = t_end + 10.0 * max(horizon_span, 1e-6)
+    tol = POLE_RTOL * max(abs(lo), abs(hi))
+    c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
     try:
-        res = scipy.optimize.minimize_scalar(misfit, bounds=(lo, hi),
-                                             method="bounded")
+        fc, fd = misfit(c), misfit(d)
+        while hi - lo > tol:
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - GOLDEN * (hi - lo)
+                fc = misfit(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + GOLDEN * (hi - lo)
+                fd = misfit(d)
     except (ValueError, np.linalg.LinAlgError):
         return None
-    return float(res.x) if res.success else None
+    return float(c if fc < fd else d)
 
 
 def detect_blowup(series: TimeSeries,

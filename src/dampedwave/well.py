@@ -93,13 +93,13 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
     """
     if p <= 2.0:
         raise ValueError(f"source exponent must satisfy p > 2, got {p}")
-    a = mesh.stiffness_matrix(domain)
+    a = mesh.stiffness(domain)
     w = domain.weight
     solve = mesh.shifted_solver(domain, 0.0, 1.0)
     x = mesh.eigenmode(domain).values
     best_residual = math.inf
     for iterations in itertools.count():
-        ax = a @ x
+        ax = a(x)
         f = x * np.abs(x) ** (p - 2.0)
         xax, xf = float(x @ ax), float(x @ f)
         relgrad = float(np.linalg.norm(ax / xax - f / xf) * np.linalg.norm(x))
@@ -108,8 +108,10 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
             break
         if iterations >= opts.max_iter or not math.isfinite(relgrad):
             raise ConvergenceError(
-                f"no start converged below grad_tol={opts.grad_tol}; best "
-                f"relative gradient {best_residual:.3e}", best_residual)
+                f"Petviashvili iteration stopped after {iterations} of "
+                f"max_iter={opts.max_iter} iterations above "
+                f"grad_tol={opts.grad_tol}; best relative gradient "
+                f"{best_residual:.3e}", best_residual)
         x = solve(f)
         x /= np.abs(x).max()
     if stats is not None:

@@ -44,8 +44,20 @@ def test_undamped_run_exits_1(tmp_path, capsys):
 
 
 def test_unknown_key_exits_1(tmp_path):
-    assert cli.main(["well", "--out", str(tmp_path),
-                     "--set", "model.banana=1"]) == 1
+    for setting in ("model.banana=1", "output.dir=x"):
+        assert cli.main(["well", "--out", str(tmp_path),
+                         "--set", setting]) == 1
+
+
+@pytest.mark.parametrize("setting", [
+    "run.horizon=inf", "model.p=nan", "cstar.grad_tol=nan", "step.dt=inf",
+    "model.omega=nan"])
+def test_non_finite_value_exits_1(tmp_path, capsys, setting):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--out", str(out), "--set", "domain.n=15",
+                     "--set", "run.horizon=0.2", "--set", setting]) == 1
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_and_override(tmp_path):

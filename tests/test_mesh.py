@@ -20,7 +20,7 @@ def field3(values):
 
 def stiffness_apply(u):
     """A u as a field on the same domain."""
-    return dw.GridField(u.domain, mesh.stiffness_matrix(u.domain) @ u.values)
+    return dw.GridField(u.domain, mesh.stiffness(u.domain)(u.values))
 
 
 class TestDomain:
@@ -41,6 +41,8 @@ class TestDomain:
         dict(kind="interval", extents=(1.0,), n=(1,)),
         dict(kind="interval", extents=(1.0, 1.0), n=(3, 3)),
         dict(kind="rectangle", extents=(1.0,), n=(3,)),
+        dict(kind="interval", extents=(math.inf,), n=(3,)),
+        dict(kind="rectangle", extents=(1.0, math.nan), n=(3, 3)),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -158,18 +160,36 @@ class TestNorms:
         lam1 = mesh.eigenvalue(f.domain)
         assert mesh.l2_norm_sq(f) <= g / lam1 + 1e-10 * (1 + g)
 
-    def test_poincare_constant_matches_dense_eigensolver(self):
+    def test_poincare_constant_matches_dense_eigensolver(self, csr_stiffness):
         dom = dw.interval(1.0, 63)
-        dense = mesh.stiffness_matrix(dom).toarray()
+        dense = csr_stiffness(dom).toarray()
         assert mesh.eigenvalue(dom) == pytest.approx(
             np.linalg.eigvalsh(dense)[0], rel=1e-11)
 
 
+@pytest.mark.parametrize("dom", [
+    dw.interval(1.0, 3), dw.interval(1.0, 63), dw.interval(1.0, 255),
+    dw.rectangle((1.5, 1.0), (47, 31)), dw.rectangle((1.5, 1.0), (23, 15)),
+    dw.rectangle((1.0, 1.5), (5, 7)),
+], ids=lambda dom: "x".join(map(str, dom.n)))
+def test_stiffness_stencil_matches_csr(dom, rng, csr_stiffness):
+    """The stencil sums in CSR order, so A x agrees bit for bit, zero signs too."""
+    a, apply = csr_stiffness(dom), mesh.stiffness(dom)
+    inputs = [scale * rng.standard_normal(dom.size)
+              for scale in 10.0 ** np.arange(-300, 151, 30)]
+    inputs += [mesh.eigenmode(dom).values, np.zeros(dom.size),
+               np.where(rng.random(dom.size) < 0.5, 0.0, -0.0)]
+    for x in inputs:
+        want, got = a @ x, apply(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("dom", [dw.interval(1.0, 63),
                                  dw.rectangle((1.5, 1.0), (7, 5))])
-def test_shifted_solver_matches_sparse_direct_solve(dom, rng):
+def test_shifted_solver_matches_sparse_direct_solve(dom, rng, csr_stiffness):
     c0, c1 = 2.005, 0.0050125  # dt = 5e-3, omega = mu = 1
-    a = mesh.stiffness_matrix(dom)
+    a = csr_stiffness(dom)
     m = (c0 * sp.identity(dom.size) + c1 * a).tocsc()
     b = rng.standard_normal(dom.size)
     want = spla.spsolve(m, b)

@@ -117,6 +117,15 @@ class TestDetectBlowup:
         est = dw.detect_blowup(series, norm_threshold=50.0)
         assert est == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("T, alpha", [(1.0, 1.0), (0.645, 2.0), (2.03, 3.0)])
+    def test_pole_fit_recovers_exact_pole(self, T, alpha):
+        t = np.linspace(0.0, 0.99 * T, 200)
+        y = (T - t) ** -alpha
+        series = TimeSeries.from_arrays(t=t, grad_sq=y**2,
+                                        l2_v=np.zeros_like(y))
+        est = dw.detect_blowup(series, norm_threshold=y[-20])
+        assert abs(est - T) <= 1e-8 * T
+
     def test_step_failure_with_growth(self):
         t = np.arange(20.0)
         y = np.exp(t)

@@ -2,11 +2,15 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dampedwave as dw
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -30,3 +34,14 @@ def test_exports_exist():
     assert len(set(dw.__all__)) == len(dw.__all__)
     missing = [name for name in dw.__all__ if not hasattr(dw, name)]
     assert not missing
+
+
+def test_runtime_imports_no_scipy():
+    """SciPy is a test-only dependency: the package and its CLI never load it."""
+    code = ("import sys, dampedwave, dampedwave.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -131,6 +131,8 @@ class TestWellConstants:
         assert math.isfinite(best)
         assert best >= opts.grad_tol
         assert f"{best:.3e}" in str(info.value)
+        assert "start" not in str(info.value)
+        assert "max_iter=1 " in str(info.value)
 
 
 class TestNehariScale:
