@@ -291,19 +291,20 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str]) -> int:
     if not grid:
         raise ConfigError("sweep needs at least one --vary")
     keys = [key for key, _ in grid]
-    points = list(itertools.product(*(vals for _, vals in grid)))
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    results = []
-    for idx, combo in enumerate(points):
+    # Read every point's settings before anything is written, so bad input
+    # leaves no output directory behind.
+    todo = []
+    for idx, combo in enumerate(itertools.product(*(vals for _, vals in grid))):
         point_cfg = cfg
         for key, value in zip(keys, combo):
             point_cfg = point_cfg.override(key, value)
         if (point_cfg.get_float("model.omega") == 0.0
                 and point_cfg.get_float("model.mu") == 0.0):
             continue  # undamped: outside the theory, ModelParams rejects it
-        results.append((idx, combo,
-                        _run_point(point_cfg, outdir / f"point_{idx:04d}")))
+        todo.append((idx, combo, point_cfg))
+    outdir.mkdir(parents=True, exist_ok=True)
+    results = [(idx, combo, _run_point(point_cfg, outdir / f"point_{idx:04d}"))
+               for idx, combo, point_cfg in todo]
 
     path = outdir / "sweep.csv"
     with open(path, "w") as fh:

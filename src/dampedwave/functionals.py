@@ -81,8 +81,8 @@ def energy_terms(u: np.ndarray, au: np.ndarray, v: np.ndarray, w: float,
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise CorruptFieldError("field contains NaN or Inf")
     grad_sq = max(w * float(u @ au), 0.0)
-    lp_p = w * float(np.sum(np.abs(u) ** p))
-    l2_v = w * float(np.sum(v**2))
+    lp_p = w * float((np.abs(u) ** p).sum())
+    l2_v = w * float((v**2).sum())
     kinetic = 0.5 * l2_v
     j = 0.5 * grad_sq - lp_p / p
     return j + kinetic, grad_sq - lp_p, j, kinetic, grad_sq, lp_p, l2_v

@@ -2,29 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 COLUMNS = ("t", "E", "I", "J", "L", "kinetic", "grad_sq", "lp_p", "l2_v", "grad_v_sq")
 _INDEX = {name: i for i, name in enumerate(COLUMNS)}
 
 
-@dataclass
 class TimeSeries:
-    """Rows of (t, E, I, J, L, kinetic, grad_sq, lp_p, l2_v, grad_v_sq)."""
+    """Samples of (t, E, I, J, L, kinetic, grad_sq, lp_p, l2_v, grad_v_sq).
 
-    rows: list[tuple] = field(default_factory=list)
+    The samples live in one float64 buffer of `capacity` rows by one column
+    per name, which doubles when an append finds it full.
+    """
 
-    def append(self, **kwargs) -> None:
-        self.rows.append(tuple(float(kwargs[name]) for name in COLUMNS))
+    def __init__(self, capacity: int = 0):
+        self._buf = np.empty((capacity, len(COLUMNS)))
+        self._n = 0
+
+    def append(self, *values: float) -> None:
+        """Add one sample, its values given in `COLUMNS` order."""
+        if len(values) != len(COLUMNS):
+            raise ValueError(f"need {len(COLUMNS)} values, got {len(values)}")
+        if self._n == len(self._buf):
+            grown = np.empty((max(16, 2 * self._n), len(COLUMNS)))
+            grown[:self._n] = self._buf
+            self._buf = grown
+        self._buf[self._n] = values
+        self._n += 1
 
     def col(self, name: str) -> np.ndarray:
-        idx = _INDEX[name]
-        return np.array([row[idx] for row in self.rows])
+        return self._buf[:self._n, _INDEX[name]].copy()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._n
 
     def divergence_norm(self) -> np.ndarray:
         """||grad u||_2 + ||u_t||_2 per sample (the blow-up quantity)."""
@@ -33,23 +43,30 @@ class TimeSeries:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            # row by row: one list of Python floats for the whole buffer
+            # would cost several times the buffer's own memory
+            for row in self._buf[:self._n]:
+                fh.write(",".join(f"{x:.17g}" for x in row.tolist()) + "\n")
 
     @classmethod
     def read_csv(cls, path) -> "TimeSeries":
+        series = cls()
         with open(path) as fh:
             header = fh.readline().strip()
             if tuple(header.split(",")) != COLUMNS:
                 raise ValueError(f"{path}: unexpected CSV header {header!r}")
-            rows = [tuple(float(x) for x in line.split(","))
-                    for line in fh if line.strip()]
-        return cls(rows)
+            for line in fh:
+                if line.strip():
+                    series.append(*(float(x) for x in line.split(",")))
+        return series
 
     @classmethod
     def from_arrays(cls, **cols) -> "TimeSeries":
         """Build a series from named arrays; missing columns default to 0."""
         k = len(next(iter(cols.values())))
         zeros = np.zeros(k)
-        arrays = [np.asarray(cols.get(name, zeros), dtype=float) for name in COLUMNS]
-        return cls([tuple(a[i] for a in arrays) for i in range(k)])
+        series = cls()
+        series._buf = np.column_stack([np.asarray(cols.get(name, zeros), dtype=float)
+                                       for name in COLUMNS])
+        series._n = k
+        return series

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import mesh
 from .functionals import ModelParams, SimState, energy_terms
-from .mesh import GridField
 from .series import TimeSeries
 from .well import WellConstants, scale_invariant_tol
 
@@ -32,11 +31,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class StepFailure(RuntimeError):
-    """Picard iteration did not converge within the allowed iterations."""
-
-    def __init__(self, message: str, state: SimState):
-        super().__init__(message)
-        self.state = state
+    """Picard iteration did not converge or produced non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -90,17 +85,14 @@ class Stepper:
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
         return um * np.abs(um) ** (self.params.p - 2.0)
 
-    def advance(self, state: SimState,
-                au: np.ndarray | None = None) -> tuple[SimState, StepStats]:
-        """One midpoint step; `au` is A @ u for the state, if already known."""
+    def advance(self, u: np.ndarray, v: np.ndarray, au: np.ndarray | None = None
+                ) -> tuple[tuple[np.ndarray, np.ndarray], StepStats]:
+        """One midpoint step from (u, v); `au` is A @ u, if already known."""
         dt = self.cfg.dt
-        u, v = state.u.values, state.v.values
         if au is None:
             au = self.a(u)
         base = 2.0 * v - dt * au
         vm = v.copy()
-        converged = False
-        iters = 0
         # Overflow near blow-up is expected; non-finite values are caught
         # below and surfaced as a step failure.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -108,25 +100,20 @@ class Stepper:
                 um = u + 0.5 * dt * vm
                 rhs = base + dt * self._nonlinear(um)
                 vm_new = self._solve(rhs)
-                delta = np.max(np.abs(vm_new - vm))
+                delta = np.abs(vm_new - vm).max()
                 vm = vm_new
-                if not np.all(np.isfinite(vm)):
-                    raise StepFailure("midpoint solve produced non-finite values",
-                                      state)
-                if delta <= PICARD_TOL * max(1.0, np.max(np.abs(vm))):
-                    converged = True
+                # max propagates NaN and inf, so one reduction checks both
+                vmax = np.abs(vm).max()
+                if not math.isfinite(vmax):
+                    raise StepFailure("midpoint solve produced non-finite values")
+                if delta <= PICARD_TOL * max(1.0, vmax):
                     break
-        if not converged:
-            raise StepFailure(
-                f"Picard stalled after {PICARD_MAX} iterations", state)
-        u_new = u + dt * vm
-        v_new = 2.0 * vm - v
+            else:
+                raise StepFailure(f"Picard stalled after {PICARD_MAX} iterations")
         diss = (-self.params.omega * self.w * float(vm @ self.a(vm))
                 - self.params.mu * self.w * float(vm @ vm))
-        new_state = SimState(state.t + dt,
-                             GridField(self.domain, u_new),
-                             GridField(self.domain, v_new))
-        return new_state, StepStats(picard_iters=iters, midpoint_dissipation=diss)
+        return ((u + dt * vm, 2.0 * vm - v),
+                StepStats(picard_iters=iters, midpoint_dissipation=diss))
 
 
 def _record(series: TimeSeries, t: float, u: np.ndarray, v: np.ndarray,
@@ -139,8 +126,7 @@ def _record(series: TimeSeries, t: float, u: np.ndarray, v: np.ndarray,
     if omega > 0:
         ell += 0.5 * epsilon * omega * grad_sq
     grad_v = max(w * float(v @ stepper.a(v)), 0.0)
-    series.append(t=t, E=E, I=I, J=J, L=ell, kinetic=kinetic, grad_sq=grad_sq,
-                  lp_p=lp_p, l2_v=l2_v, grad_v_sq=grad_v)
+    series.append(t, E, I, J, ell, kinetic, grad_sq, lp_p, l2_v, grad_v)
 
 
 def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
@@ -161,86 +147,90 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
     stride = 1 if domain.size <= SAMPLE_EVERY_STEP_MAX_NODES else 10
     n_steps = max(1, int(round(horizon / dt)))
 
-    series = TimeSeries()
+    series = TimeSeries(n_steps // stride + 2)
+    t = initial.t
     u, v = initial.u.values, initial.v.values
     au = a(u)
     terms = energy_terms(u, au, v, w, p)
-    _record(series, initial.t, u, v, terms, stepper, eps)
+    _record(series, t, u, v, terms, stepper, eps)
     e0 = terms[0]
     e_prev = e0
     grad_cap = (2.0 * p / (p - 2.0)) * e0 * (1.0 + 1e-6)
     energy_tol = ENERGY_TOL_COEFF * dt**3 * max(1.0, abs(e0))
     drift = 0.0
-    state = initial
 
     for k in range(1, n_steps + 1):
         try:
-            state, stats = stepper.advance(state, au)
+            (u, v), stats = stepper.advance(u, v, au)
         except StepFailure as failure:
             est = detect_blowup(series, step_failed=True)
             if est is not None:
                 return series, RunOutcome(
-                    kind="blew_up", T=failure.state.t, t_max_estimate=est,
+                    kind="blew_up", T=t, t_max_estimate=est,
                     details=str(failure), energy_drift=drift)
             raise
-        u, v = state.u.values, state.v.values
+        t += dt
         au = a(u)
         terms = energy_terms(u, au, v, w, p)
         e_now = terms[0]
         drift += abs(e_now - e_prev - dt * stats.midpoint_dissipation)
         if k % stride == 0 or k == n_steps:
-            _record(series, state.t, u, v, terms, stepper, eps)
+            _record(series, t, u, v, terms, stepper, eps)
             _, i_now, _, _, grad_sq, lp_p, l2_v = terms
             if (monitors.nehari_invariance
                     and i_now < -scale_invariant_tol(grad_sq, lp_p)):
                 return series, RunOutcome(
-                    kind="monitor_violation", T=state.t, energy_drift=drift,
-                    details=f"Nehari invariance lost: I={i_now} at t={state.t}")
+                    kind="monitor_violation", T=t, energy_drift=drift,
+                    details=f"Nehari invariance lost: I={i_now} at t={t}")
             if monitors.grad_bound and grad_sq > grad_cap:
                 return series, RunOutcome(
-                    kind="monitor_violation", T=state.t, energy_drift=drift,
+                    kind="monitor_violation", T=t, energy_drift=drift,
                     details=f"gradient bound exceeded: {grad_sq} > {grad_cap}")
             if monitors.energy_monotone and e_now > e_prev + energy_tol:
                 return series, RunOutcome(
-                    kind="monitor_violation", T=state.t, energy_drift=drift,
-                    details=f"energy increased beyond tolerance at t={state.t}")
+                    kind="monitor_violation", T=t, energy_drift=drift,
+                    details=f"energy increased beyond tolerance at t={t}")
             norm = math.sqrt(grad_sq) + math.sqrt(l2_v)
             if norm > BLOWUP_NORM_THRESHOLD:
                 est = detect_blowup(series)
                 return series, RunOutcome(
-                    kind="blew_up", T=state.t, energy_drift=drift,
-                    t_max_estimate=est if est is not None else state.t,
+                    kind="blew_up", T=t, energy_drift=drift,
+                    t_max_estimate=est if est is not None else t,
                     details=f"divergence norm {norm:.3e} crossed threshold")
         e_prev = e_now
-    return series, RunOutcome(kind="completed", T=state.t, energy_drift=drift)
+    return series, RunOutcome(kind="completed", T=t, energy_drift=drift)
 
 
-def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float | None:
-    """Fit y ~ C (T - t)^(-alpha) by golden-section search over T; returns T."""
+def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float:
+    """Fit y ~ C (T - t)^(-alpha) by golden-section search over T; returns T.
+
+    The misfit of each T is the residual of the least-squares line through
+    (log(T - t), log y), in closed form on centred data.
+    """
+    ly = np.log(y)
+    ly = ly - ly.mean()
+
     def misfit(T: float) -> float:
-        logs = np.log(T - t)
-        coeffs = np.polyfit(logs, np.log(y), 1)
-        resid = np.log(y) - np.polyval(coeffs, logs)
-        return float(np.sum(resid**2))
+        x = np.log(T - t)
+        x -= x.mean()
+        r = ly - (x @ ly / (x @ x)) * x
+        return float(r @ r)
 
     t_end = t[-1]
     lo = t_end + 1e-9 * max(horizon_span, 1.0)
     hi = t_end + 10.0 * max(horizon_span, 1e-6)
     tol = POLE_RTOL * max(abs(lo), abs(hi))
     c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    try:
-        fc, fd = misfit(c), misfit(d)
-        while hi - lo > tol:
-            if fc < fd:
-                hi, d, fd = d, c, fc
-                c = hi - GOLDEN * (hi - lo)
-                fc = misfit(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + GOLDEN * (hi - lo)
-                fd = misfit(d)
-    except (ValueError, np.linalg.LinAlgError):
-        return None
+    fc, fd = misfit(c), misfit(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - GOLDEN * (hi - lo)
+            fc = misfit(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + GOLDEN * (hi - lo)
+            fd = misfit(d)
     return float(c if fc < fd else d)
 
 
@@ -274,6 +264,6 @@ def detect_blowup(series: TimeSeries,
     tt, yy = tt[keep], yy[keep]
     if len(tt) >= 3 and tt[-1] > tt[0]:
         est = _pole_fit(tt, yy, tt[-1] - tt[0])
-        if est is not None and np.isfinite(est):
+        if math.isfinite(est):
             return est
     return float(t[fired_at])

@@ -1,12 +1,11 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 import dampedwave as dw
 from dampedwave import cli, mesh
-from dampedwave.series import TimeSeries
+from dampedwave.series import COLUMNS, TimeSeries
 
 FAST = [
     "--set", "domain.n=31",
@@ -74,7 +73,7 @@ def test_run_zero_data(tmp_path):
                      "--set", "init.kind=zero"])
     assert code == 0
     series = TimeSeries.read_csv(tmp_path / "series.csv")
-    assert not np.asarray(series.rows)[:, 1:].any()
+    assert not any(series.col(name).any() for name in COLUMNS[1:])
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["outcome"]["kind"] == "completed"
 
@@ -124,6 +123,14 @@ def test_sweep_grid(tmp_path):
     assert code == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 5  # header + grid minus the undamped point
+
+
+def test_sweep_bad_base_setting_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), "--set", "model.omega=nan",
+                     "--vary", "model.mu=0.5,1"]) == 1
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_determinism(tmp_path):

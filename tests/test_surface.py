@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import dampedwave as dw
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +47,27 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_tracer_counts_the_step_loop():
+    """The benchmark's per-layer hook sees every step, solve and sample of `run`."""
+    dom = dw.interval(1.0, 63)
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    cfg = dw.StepConfig(dt=5e-3)
+    u0 = 2.0 * dw.mesh.eigenmode(dom).values
+    stepper = dw.Stepper(dom, params, cfg)
+    u, v, iters = u0, np.zeros(dom.size), 0
+    for _ in range(20):
+        (u, v), stats = stepper.advance(u, v)
+        iters += stats.picard_iters
+
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        dw.run(dw.SimState.rest(dw.GridField(dom, u0)), params, cfg, 20 * cfg.dt)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.pass_metrics(0)
+    assert metrics["solver.advance_calls"] == 20
+    assert metrics["solver.linear_solves"] == iters >= 20
+    assert metrics["series.rows"] == 21
