@@ -7,7 +7,7 @@ from .lyapunov import (DecayCertificate, certify_decay, equivalence_check,
 from .mesh import Domain, GridField, interval, rectangle
 from .series import TimeSeries
 from .solver import (MonitorSet, RunOutcome, StepConfig, Stepper, detect_blowup,
-                     run)
+                     run, run_many)
 from .well import (Classification, MinimizeOpts, WellConstants, classify,
                    compute_c_star, nehari_scale, prepare_initial_data,
                    well_constants)
@@ -19,7 +19,7 @@ __all__ = [
     "classify", "compute_c_star", "detect_blowup", "dissipation_rate",
     "equivalence_check", "functional_I", "functional_J", "interval",
     "lyapunov_L", "nehari_scale", "prepare_initial_data", "rectangle", "run",
-    "select_constants", "total_energy", "well_constants",
+    "run_many", "select_constants", "total_energy", "well_constants",
 ]
 
 __version__ = "0.1.0"

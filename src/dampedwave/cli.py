@@ -189,12 +189,25 @@ def _certificate_dict(cert: lyapunov.DecayCertificate) -> dict:
             "violated_at": cert.violated_at}
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
-    """One full run: constants, data, trajectory, certification, reports."""
+@dataclass(frozen=True)
+class _Prepared:
+    """A point ready to step: its data, classification, certificate, monitors."""
+
+    outdir: Path
+    report: dict  # the report.json entries known before the run
+    params: ModelParams
+    step_cfg: solver.StepConfig
+    horizon: float
+    initial: SimState
+    cert: lyapunov.DecayCertificate | None
+    monitors: solver.MonitorSet
+
+
+def _prepare(cfg: ExperimentConfig, outdir: Path) -> _Prepared:
+    """Constants, initial data (written to u0.txt), classification, monitors."""
     cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     params = cfg.model()
-    step_cfg = cfg.step_config()
     wc, well_report = _well_report(cfg)
     initial = _initial_state(cfg, params, wc)
     mesh.write_field(outdir / "u0.txt", initial.u)
@@ -208,31 +221,51 @@ def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
         monitors = solver.MonitorSet(wc=wc, epsilon=cert.epsilon,
                                      nehari_invariance=True, grad_bound=True,
                                      energy_monotone=True)
+    report = {"config": dict(cfg.raw), "well": well_report,
+              "classification": _classification_dict(cls), "E0": e0}
+    return _Prepared(outdir, report, params, cfg.step_config(),
+                     cfg.get_float("run.horizon"), initial, cert, monitors)
 
-    series, outcome = solver.run(initial, params, step_cfg,
-                                 cfg.get_float("run.horizon"), monitors)
-    series.to_csv(outdir / "series.csv")
 
-    summary: dict = {
-        "config": dict(cfg.raw),
-        "well": well_report,
-        "classification": _classification_dict(cls),
-        "E0": e0,
-        "outcome": {"kind": outcome.kind, "T": outcome.T,
-                    "t_max_estimate": outcome.t_max_estimate,
-                    "details": outcome.details,
-                    "energy_drift": outcome.energy_drift},
-    }
-    if cert is not None and outcome.kind == "completed" and len(series) >= 2:
-        tol_cert = 10.0 * step_cfg.dt**2
-        cert = lyapunov.certify_decay(series, cert, tol_cert)
+def _finish(pt: _Prepared, result) -> dict:
+    """Write series.csv and report.json from one `solver.run_many` result.
+
+    A StepFailure result is raised.
+    """
+    if isinstance(result, solver.StepFailure):
+        raise result
+    series, outcome = result
+    series.to_csv(pt.outdir / "series.csv")
+
+    summary = dict(pt.report, outcome={
+        "kind": outcome.kind, "T": outcome.T,
+        "t_max_estimate": outcome.t_max_estimate, "details": outcome.details,
+        "energy_drift": outcome.energy_drift})
+    if pt.cert is not None and outcome.kind == "completed" and len(series) >= 2:
+        tol_cert = 10.0 * pt.step_cfg.dt**2
+        cert = lyapunov.certify_decay(series, pt.cert, tol_cert)
         equiv = lyapunov.equivalence_check(series, cert)
         summary["certificate"] = _certificate_dict(cert)
         summary["certificate"]["tol_cert"] = tol_cert
         summary["equivalence"] = {"passed": equiv.passed,
                                   "n_violations": equiv.n_violations}
-    _json_dump(summary, outdir / "report.json")
+    _json_dump(summary, pt.outdir / "report.json")
     return summary
+
+
+def _step(points: list[_Prepared]) -> list:
+    """`solver.run_many` over points that share a domain, dt, horizon and p."""
+    first = points[0]
+    return solver.run_many([pt.initial for pt in points],
+                           [pt.params for pt in points], first.step_cfg,
+                           first.horizon, [pt.monitors for pt in points])
+
+
+def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
+    """One full run: constants, data, trajectory, certification, reports."""
+    pt = _prepare(cfg, outdir)
+    (result,) = _step([pt])
+    return _finish(pt, result)
 
 
 def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
@@ -276,10 +309,10 @@ SWEEP_COLUMNS = ("index", "outcome", "E0", "d", "xi", "xi_fitted", "fit_r2",
                  "t_max_estimate", "error")
 
 
-def _run_point(point_cfg: ExperimentConfig, point_dir: Path) -> dict:
-    """One sweep point's summary, or {"error": ...} when the point fails."""
+def _guarded(fn, *args):
+    """fn(*args), or {"error": ...} when it fails for one sweep point."""
     try:
-        return run_experiment(point_cfg, point_dir)
+        return fn(*args)
     except (ConfigError, ValueError) as exc:
         return {"error": f"config: {exc}"}
     except (well.ConvergenceError, solver.StepFailure, RuntimeError) as exc:
@@ -287,6 +320,8 @@ def _run_point(point_cfg: ExperimentConfig, point_dir: Path) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str]) -> int:
+    """Prepare every point, step each group that shares a domain, dt, horizon
+    and p as one stack, then write every point's files and sweep.csv."""
     grid = _parse_vary(vary)
     if not grid:
         raise ConfigError("sweep needs at least one --vary")
@@ -301,15 +336,29 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str]) -> int:
         if (point_cfg.get_float("model.omega") == 0.0
                 and point_cfg.get_float("model.mu") == 0.0):
             continue  # undamped: outside the theory, ModelParams rejects it
+        point_cfg.validate()
         todo.append((idx, combo, point_cfg))
     outdir.mkdir(parents=True, exist_ok=True)
-    results = [(idx, combo, _run_point(point_cfg, outdir / f"point_{idx:04d}"))
-               for idx, combo, point_cfg in todo]
+    summaries = {}
+    groups: dict[tuple, list[tuple[int, _Prepared]]] = {}
+    for idx, _, point_cfg in todo:
+        pt = _guarded(_prepare, point_cfg, outdir / f"point_{idx:04d}")
+        if isinstance(pt, dict):
+            summaries[idx] = pt
+        else:
+            key = (pt.initial.u.domain, pt.step_cfg.dt, pt.horizon, pt.params.p)
+            groups.setdefault(key, []).append((idx, pt))
+    for members in groups.values():
+        results = _guarded(_step, [pt for _, pt in members])
+        for n, (idx, pt) in enumerate(members):
+            summaries[idx] = (results if isinstance(results, dict)
+                              else _guarded(_finish, pt, results[n]))
 
     path = outdir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write(",".join(keys + list(SWEEP_COLUMNS)) + "\n")
-        for idx, combo, summary in results:
+        for idx, combo, _ in todo:
+            summary = summaries[idx]
             if "error" in summary:
                 row = list(combo) + [str(idx), "error", "", "", "", "", "", "",
                                      summary["error"].replace(",", ";")]
@@ -325,7 +374,7 @@ def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str]) -> int:
                     _fmt(est), "",
                 ]
             fh.write(",".join(row) + "\n")
-    print(f"wrote {path} ({len(results)} rows)")
+    print(f"wrote {path} ({len(todo)} rows)")
     return 0
 
 

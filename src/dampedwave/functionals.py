@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import (CorruptFieldError, GridField, grad_norm_sq, l2_norm_sq,
-                   lp_norm_p, stiffness)
+                   lp_norm_p, row_dots, stiffness)
 
 
 @dataclass(frozen=True)
@@ -72,28 +73,36 @@ def functional_J(u: GridField, params: ModelParams) -> float:
 
 
 def energy_terms(u: np.ndarray, au: np.ndarray, v: np.ndarray, w: float,
-                 p: float) -> tuple[float, ...]:
-    """(E, I, J, kinetic, grad_sq, lp_p, l2_v) from raw node values.
+                 p: float) -> list[tuple[float, ...]]:
+    """(E, I, J, kinetic, grad_sq, lp_p, l2_v) for each row of (K, n) node values.
 
-    `au` is A @ u and `w` the node weight; the terms are reduced exactly as
-    the mesh norms reduce them, so the results agree bit for bit.
+    `au` is A @ u and `w` the node weight; each row is reduced exactly as the
+    mesh norms reduce one field, so the results agree bit for bit.
     """
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+    lp_sums = np.add.reduce(np.abs(u) ** p, axis=-1).tolist()
+    v_sums = np.add.reduce(v**2, axis=-1).tolist()
+    # a sum of |u|^p or v^2 is finite only if all its terms are, so the
+    # entries need a look of their own only when a sum is not
+    if (not math.isfinite(sum(lp_sums) + sum(v_sums))
+            and not (np.isfinite(u).all() and np.isfinite(v).all())):
         raise CorruptFieldError("field contains NaN or Inf")
-    grad_sq = max(w * float(u @ au), 0.0)
-    lp_p = w * float((np.abs(u) ** p).sum())
-    l2_v = w * float((v**2).sum())
-    kinetic = 0.5 * l2_v
-    j = 0.5 * grad_sq - lp_p / p
-    return j + kinetic, grad_sq - lp_p, j, kinetic, grad_sq, lp_p, l2_v
+    terms = []
+    for uau, upp, vv in zip(row_dots(u, au), lp_sums, v_sums):
+        grad_sq = max(w * uau, 0.0)
+        lp_p = w * upp
+        l2_v = w * vv
+        kinetic = 0.5 * l2_v
+        j = 0.5 * grad_sq - lp_p / p
+        terms.append((j + kinetic, grad_sq - lp_p, j, kinetic, grad_sq, lp_p, l2_v))
+    return terms
 
 
 def total_energy(state: SimState, params: ModelParams) -> EnergyReport:
     """E = J + kinetic energy, with cached constituent norms."""
     domain = state.u.domain
-    u = state.u.values
-    E, I, J, kinetic, grad_sq, lp_p, _ = energy_terms(
-        u, stiffness(domain)(u), state.v.values, domain.weight, params.p)
+    u = state.u.values[None]
+    ((E, I, J, kinetic, grad_sq, lp_p, _),) = energy_terms(
+        u, stiffness(domain)(u), state.v.values[None], domain.weight, params.p)
     return EnergyReport(t=state.t, I=I, J=J, E=E, kinetic=kinetic,
                         grad_sq=grad_sq, lp_p=lp_p)
 

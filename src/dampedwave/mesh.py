@@ -137,18 +137,24 @@ def stiffness(domain: Domain):
     (i, j) sits at flat index i*ny + j.  Each row is summed from +0 in the
     column order of the assembled sparse matrix (west, south, centre, north,
     east), with the centre coefficient 2/hx^2 + 2/hy^2 rounded once, so the
-    result equals a CSR matrix-vector product bit for bit.
+    result equals a CSR matrix-vector product bit for bit.  A (K, size)
+    stack is mapped row by row.
     """
+    # The nodes run along the first axis of x.T, both for one field and for
+    # the columns of a transposed (K, size) stack, so one set of slices
+    # serves both.
     if domain.dim == 1:
-        (m,), (h,) = domain.n, domain.h
+        (h,) = domain.h
         c, o = 2.0 / h**2, -1.0 / h**2
 
         def apply(x: np.ndarray) -> np.ndarray:
-            xo = o * x
-            y = np.zeros(m)
-            y[1:] += xo[:-1]
-            y += c * x
-            y[:-1] += xo[1:]
+            xt = x.T
+            xo = o * xt
+            y = np.zeros(x.shape)
+            yt = y.T
+            yt[1:] += xo[:-1]
+            yt += c * xt
+            yt[:-1] += xo[1:]
             return y
         return apply
 
@@ -157,18 +163,20 @@ def stiffness(domain: Domain):
     ox, oy = -1.0 / hx**2, -1.0 / hy**2
 
     def apply(x: np.ndarray) -> np.ndarray:
-        xx = ox * x
+        xt = x.T
+        xx = ox * xt
         # flat shifts by one wrap between grid lines: blank the wrapped terms
-        north = oy * x
-        south = north.copy()
-        south.reshape(nx, ny)[:, -1] = 0.0
-        north.reshape(nx, ny)[:, 0] = 0.0
-        y = np.zeros(nx * ny)
-        y[ny:] += xx[:-ny]
-        y[1:] += south[:-1]
-        y += c * x
-        y[:-1] += north[1:]
-        y[:-ny] += xx[ny:]
+        north = oy * xt
+        south = north.copy(order="K")
+        south[ny - 1::ny] = 0.0  # j = ny - 1
+        north[::ny] = 0.0  # j = 0
+        y = np.zeros(x.shape)
+        yt = y.T
+        yt[ny:] += xx[:-ny]
+        yt[1:] += south[:-1]
+        yt += c * xt
+        yt[:-1] += north[1:]
+        yt[:-ny] += xx[ny:]
         return y
     return apply
 
@@ -231,21 +239,46 @@ def _sine_basis(m: int, ha: float) -> tuple[np.ndarray, np.ndarray]:
     return s, lam
 
 
-def shifted_solver(domain: Domain, c0: float, c1: float):
+def shifted_solver(domain: Domain, c0, c1):
     """Exact solver b -> (c0 I + c1 A)^(-1) b in the sine eigenbasis of A.
 
     A is the Kronecker sum of per-axis tridiagonal matrices, all diagonalized
-    by DST-I, so the solve is two transforms around a diagonal scaling.
+    by DST-I, so the solve is two transforms around a diagonal scaling, in 1D
+    and 2D alike.  Given arrays of K shifts c0, c1, the solver takes a
+    (K, size) stack whose row k it solves with (c0[k], c1[k]); each row is
+    transformed by its own matrix product, never by one product over the
+    stack, so it rounds exactly as a solve of that row alone.
     """
+    c0, c1 = np.asarray(c0), np.asarray(c1)
+    one_row = c0.shape == (1,)
+    if one_row:  # the products of a single field are the faster calls
+        c0, c1 = c0[0], c1[0]
     bases = [_sine_basis(m, ha) for m, ha in zip(domain.n, domain.h)]
     if domain.dim == 1:
         ((s, lam),) = bases
-        inv = 1.0 / (c0 + c1 * lam)
-        return lambda b: s @ (inv * (s @ b))
+        inv = 1.0 / (c0[..., None] + c1[..., None] * lam)
+        if one_row:
+            return lambda b: np.dot(s, inv * np.dot(s, b[0]))[None]
+        if inv.ndim == 1:
+            return lambda b: np.dot(s, inv * np.dot(s, b))
+        col = inv[..., None]  # rows as columns: one matrix-vector product each
+        return lambda b: (s @ (col * (s @ b[..., None])))[..., 0]
     (sx, lx), (sy, ly) = bases
-    inv = 1.0 / (c0 + c1 * (lx[:, None] + ly[None, :]))
-    shape = domain.n
-    return lambda b: (sx @ (inv * (sx @ b.reshape(shape) @ sy)) @ sy).reshape(-1)
+    inv = 1.0 / (c0[..., None, None]
+                 + c1[..., None, None] * (lx[:, None] + ly[None, :]))
+    return lambda b: (sx @ (inv * (sx @ b.reshape(inv.shape) @ sy)) @ sy
+                      ).reshape(b.shape)
+
+
+def row_dots(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """x[k] @ y[k] for each row of two (K, n) stacks, as Python floats.
+
+    Each row is one dot product of its own, so it rounds exactly as the dot
+    of that row alone.
+    """
+    if len(x) == 1:
+        return [float(np.vdot(x, y))]
+    return np.matmul(x[:, None, :], y[:, :, None]).ravel().tolist()
 
 
 def write_field(path, u: GridField) -> None:

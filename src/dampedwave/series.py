@@ -6,6 +6,7 @@ import numpy as np
 
 COLUMNS = ("t", "E", "I", "J", "L", "kinetic", "grad_sq", "lp_p", "l2_v", "grad_v_sq")
 _INDEX = {name: i for i, name in enumerate(COLUMNS)}
+_ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
 
 
 class TimeSeries:
@@ -46,7 +47,7 @@ class TimeSeries:
             # row by row: one list of Python floats for the whole buffer
             # would cost several times the buffer's own memory
             for row in self._buf[:self._n]:
-                fh.write(",".join(f"{x:.17g}" for x in row.tolist()) + "\n")
+                fh.write(_ROW_FORMAT % tuple(row.tolist()))
 
     @classmethod
     def read_csv(cls, path) -> "TimeSeries":

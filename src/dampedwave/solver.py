@@ -5,11 +5,16 @@ the nonlinear source is evaluated at the midpoint by Picard iteration.  For
 quadratic energies the scheme's per-step energy balance against the
 dissipation identity is exact, so the measured residual isolates the
 nonlinear quadrature error, which is third order per step.
+
+`run_many` steps trajectories that share a domain, dt, horizon and p as one
+(K, size) stack, in which every row rounds exactly as it does alone; `run` is
+its one-row case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +36,15 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class StepFailure(RuntimeError):
-    """Picard iteration did not converge or produced non-finite values."""
+    """Picard iteration did not converge or produced non-finite values.
+
+    `rows` lists the failed rows of the stepped stack; a single field is
+    row 0.
+    """
+
+    def __init__(self, message: str, rows: Sequence[int] = (0,)):
+        super().__init__(message)
+        self.rows = list(rows)
 
 
 @dataclass(frozen=True)
@@ -45,8 +58,9 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class StepStats:
-    picard_iters: int
-    midpoint_dissipation: float  # dissipation identity evaluated at the midpoint
+    picard_iters: int  # summed over the rows of a stack
+    # dissipation identity evaluated at the midpoint; one per row of a stack
+    midpoint_dissipation: float | list[float]
 
 
 @dataclass
@@ -70,68 +84,159 @@ class RunOutcome:
 
 
 class Stepper:
-    """Holds the exact midpoint solve (2 + dt mu) I + (dt^2/2 + dt omega) A."""
+    """Holds the exact midpoint solve (2 + dt mu) I + (dt^2/2 + dt omega) A.
 
-    def __init__(self, domain: mesh.Domain, params: ModelParams, cfg: StepConfig):
+    Given one ModelParams it steps one field of shape (size,).  Given a
+    sequence of them that share p it steps a (K, size) stack, row k under
+    params[k]; every row rounds exactly as it does stepped alone.
+    """
+
+    def __init__(self, domain: mesh.Domain,
+                 params: ModelParams | Sequence[ModelParams], cfg: StepConfig):
+        rows = [params] if isinstance(params, ModelParams) else list(params)
+        if len({prm.p for prm in rows}) != 1:
+            raise ValueError("the rows of a stack must share p")
         self.domain = domain
-        self.params = params
         self.cfg = cfg
+        self.p = rows[0].p
         self.a = mesh.stiffness(domain)
-        self.w = domain.weight
+        w = self.w = domain.weight
+        self._damping = [(-prm.omega * w, prm.mu * w) for prm in rows]
         dt = cfg.dt
-        self._solve = mesh.shifted_solver(domain, 2.0 + dt * params.mu,
-                                          0.5 * dt * dt + dt * params.omega)
+        self._solve = mesh.shifted_solver(
+            domain, [2.0 + dt * prm.mu for prm in rows],
+            [0.5 * dt * dt + dt * prm.omega for prm in rows])
 
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
-        return um * np.abs(um) ** (self.params.p - 2.0)
+        return um * np.abs(um) ** (self.p - 2.0)
 
     def advance(self, u: np.ndarray, v: np.ndarray, au: np.ndarray | None = None
                 ) -> tuple[tuple[np.ndarray, np.ndarray], StepStats]:
-        """One midpoint step from (u, v); `au` is A @ u, if already known."""
+        """One midpoint step from (u, v); `au` is A @ u, if already known.
+
+        Each row iterates until its own Picard test passes and then stays
+        fixed while the other rows go on.  A row whose iterate turns
+        non-finite, or that has not converged after PICARD_MAX iterations,
+        fails the step: StepFailure names the failed rows.
+        """
+        single = u.ndim == 1
+        if single:
+            u, v = u[None], v[None]
+            au = None if au is None else au[None]
         dt = self.cfg.dt
         if au is None:
             au = self.a(u)
         base = 2.0 * v - dt * au
-        vm = v.copy()
+        vm = v
+        converged = None  # rows that stay fixed while the others iterate on
+        n_converged = iters = 0
         # Overflow near blow-up is expected; non-finite values are caught
         # below and surfaced as a step failure.
         with np.errstate(over="ignore", invalid="ignore"):
-            for iters in range(1, PICARD_MAX + 1):
+            for it in range(1, PICARD_MAX + 1):
                 um = u + 0.5 * dt * vm
                 rhs = base + dt * self._nonlinear(um)
                 vm_new = self._solve(rhs)
-                delta = np.abs(vm_new - vm).max()
+                if converged is not None:
+                    vm_new[converged] = vm[converged]
+                delta = np.maximum.reduce(np.abs(vm_new - vm), axis=-1).tolist()
                 vm = vm_new
-                # max propagates NaN and inf, so one reduction checks both
-                vmax = np.abs(vm).max()
-                if not math.isfinite(vmax):
-                    raise StepFailure("midpoint solve produced non-finite values")
-                if delta <= PICARD_TOL * max(1.0, vmax):
+                # max propagates NaN and inf, so one reduction checks both;
+                # a converged row has delta 0 and passes the test again
+                vmax = np.maximum.reduce(np.abs(vm), axis=-1).tolist()
+                n_done = 0
+                for d, m in zip(delta, vmax):
+                    if not math.isfinite(m):
+                        raise StepFailure(
+                            "midpoint solve produced non-finite values",
+                            [r for r, x in enumerate(vmax) if not math.isfinite(x)])
+                    if d <= PICARD_TOL * max(1.0, m):
+                        n_done += 1
+                iters += it * (n_done - n_converged)
+                if n_done == len(u):
                     break
+                if n_done > n_converged:
+                    n_converged = n_done
+                    converged = np.array([d <= PICARD_TOL * max(1.0, m)
+                                          for d, m in zip(delta, vmax)])
             else:
-                raise StepFailure(f"Picard stalled after {PICARD_MAX} iterations")
-        diss = (-self.params.omega * self.w * float(vm @ self.a(vm))
-                - self.params.mu * self.w * float(vm @ vm))
-        return ((u + dt * vm, 2.0 * vm - v),
-                StepStats(picard_iters=iters, midpoint_dissipation=diss))
+                stalled = (range(len(u)) if converged is None
+                           else np.flatnonzero(~converged).tolist())
+                raise StepFailure(f"Picard stalled after {PICARD_MAX} iterations",
+                                  stalled)
+        diss = [omega_w * grad_sq - mu_w * sq
+                for (omega_w, mu_w), grad_sq, sq in zip(
+                    self._damping, mesh.row_dots(vm, self.a(vm)),
+                    mesh.row_dots(vm, vm))]
+        u, v = u + dt * vm, 2.0 * vm - v
+        if single:
+            return (u[0], v[0]), StepStats(picard_iters=iters,
+                                           midpoint_dissipation=diss[0])
+        return (u, v), StepStats(picard_iters=iters, midpoint_dissipation=diss)
 
 
-def _record(series: TimeSeries, t: float, u: np.ndarray, v: np.ndarray,
-            terms: tuple, stepper: Stepper, epsilon: float) -> None:
-    """Append one sample row, reusing the step's `energy_terms` tuple."""
-    E, I, J, kinetic, grad_sq, lp_p, l2_v = terms
-    w = stepper.w
-    ell = E + epsilon * (w * float(v @ u))
-    omega = stepper.params.omega
-    if omega > 0:
-        ell += 0.5 * epsilon * omega * grad_sq
-    grad_v = max(w * float(v @ stepper.a(v)), 0.0)
-    series.append(t, E, I, J, ell, kinetic, grad_sq, lp_p, l2_v, grad_v)
+class _Row:
+    """One trajectory of a stack: its samples, clock, energy and monitors."""
+
+    def __init__(self, index: int, t: float, params: ModelParams,
+                 monitors: MonitorSet, capacity: int, e0: float, dt: float):
+        p = params.p
+        self.index = index
+        self.t = t
+        self.omega = params.omega
+        self.monitors = monitors
+        self.series = TimeSeries(capacity)
+        self.e_prev = e0
+        self.grad_cap = (2.0 * p / (p - 2.0)) * e0 * (1.0 + 1e-6)
+        self.energy_tol = ENERGY_TOL_COEFF * dt**3 * max(1.0, abs(e0))
+        self.drift = 0.0
+
+    def record(self, terms: tuple, vu: float, vav: float, w: float) -> None:
+        """Append one sample row from the step's `energy_terms` of this row.
+
+        `vu` is v @ u and `vav` is v @ A v for the row's current state.
+        """
+        E, I, J, kinetic, grad_sq, lp_p, l2_v = terms
+        eps = self.monitors.epsilon
+        ell = E + eps * (w * vu)
+        if self.omega > 0:
+            ell += 0.5 * eps * self.omega * grad_sq
+        self.series.append(self.t, E, I, J, ell, kinetic, grad_sq, lp_p, l2_v,
+                           max(w * vav, 0.0))
+
+    def check(self, terms: tuple) -> RunOutcome | None:
+        """The outcome that ends this row at a sample, if any."""
+        e_now, i_now, _, _, grad_sq, lp_p, l2_v = terms
+        t, monitors = self.t, self.monitors
+        if (monitors.nehari_invariance
+                and i_now < -scale_invariant_tol(grad_sq, lp_p)):
+            return RunOutcome(kind="monitor_violation", T=t, energy_drift=self.drift,
+                              details=f"Nehari invariance lost: I={i_now} at t={t}")
+        if monitors.grad_bound and grad_sq > self.grad_cap:
+            return RunOutcome(
+                kind="monitor_violation", T=t, energy_drift=self.drift,
+                details=f"gradient bound exceeded: {grad_sq} > {self.grad_cap}")
+        if monitors.energy_monotone and e_now > self.e_prev + self.energy_tol:
+            return RunOutcome(kind="monitor_violation", T=t, energy_drift=self.drift,
+                              details=f"energy increased beyond tolerance at t={t}")
+        norm = math.sqrt(grad_sq) + math.sqrt(l2_v)
+        if norm > BLOWUP_NORM_THRESHOLD:
+            est = detect_blowup(self.series)
+            return RunOutcome(kind="blew_up", T=t, energy_drift=self.drift,
+                              t_max_estimate=est if est is not None else t,
+                              details=f"divergence norm {norm:.3e} crossed threshold")
+        return None
 
 
-def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
-        monitors: MonitorSet | None = None) -> tuple[TimeSeries, RunOutcome]:
-    """Integrate to the horizon, sampling diagnostics and enforcing monitors.
+def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
+             cfg: StepConfig, horizon: float,
+             monitors: Sequence[MonitorSet | None] | None = None
+             ) -> list[tuple[TimeSeries, RunOutcome] | StepFailure]:
+    """Integrate K trajectories that share a domain, dt, horizon and p as one stack.
+
+    Returns per row what `run` returns for that row alone, bit for bit: its
+    (series, outcome), or the StepFailure that ended it.  A row leaves the
+    stack when it fails a step, trips a monitor or blows up; the others go on.
 
     The energy is evaluated once per step on raw arrays; the drift, the
     monitors and the sampled row all share that evaluation, and its A @ u
@@ -139,66 +244,87 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    monitors = monitors or MonitorSet()
-    domain = initial.u.domain
+    if monitors is None:
+        monitors = [None] * len(states)
+    if not states or not len(states) == len(params) == len(monitors):
+        raise ValueError("need one ModelParams and one MonitorSet or None per state")
+    domain = states[0].u.domain
+    if any(state.u.domain != domain for state in states):
+        raise ValueError("the rows of a stack must share a domain")
     stepper = Stepper(domain, params, cfg)
-    a, w, p, dt = stepper.a, stepper.w, params.p, cfg.dt
-    eps = monitors.epsilon
+    a, w, p, dt = stepper.a, stepper.w, stepper.p, cfg.dt
     stride = 1 if domain.size <= SAMPLE_EVERY_STEP_MAX_NODES else 10
     n_steps = max(1, int(round(horizon / dt)))
 
-    series = TimeSeries(n_steps // stride + 2)
-    t = initial.t
-    u, v = initial.u.values, initial.v.values
+    u = np.array([state.u.values for state in states])
+    v = np.array([state.v.values for state in states])
     au = a(u)
     terms = energy_terms(u, au, v, w, p)
-    _record(series, t, u, v, terms, stepper, eps)
-    e0 = terms[0]
-    e_prev = e0
-    grad_cap = (2.0 * p / (p - 2.0)) * e0 * (1.0 + 1e-6)
-    energy_tol = ENERGY_TOL_COEFF * dt**3 * max(1.0, abs(e0))
-    drift = 0.0
+    rows = [_Row(k, state.t, prm, mon or MonitorSet(), n_steps // stride + 2,
+                 row_terms[0], dt)
+            for k, (state, prm, mon, row_terms) in enumerate(
+                zip(states, params, monitors, terms))]
+    for row, row_terms, vu, vav in zip(rows, terms, mesh.row_dots(v, u),
+                                       mesh.row_dots(v, a(v))):
+        row.record(row_terms, vu, vav, w)
+    results: list = [None] * len(states)
 
-    for k in range(1, n_steps + 1):
+    k = 1
+    while rows and k <= n_steps:
         try:
-            (u, v), stats = stepper.advance(u, v, au)
+            (u_new, v_new), stats = stepper.advance(u, v, au)
         except StepFailure as failure:
-            est = detect_blowup(series, step_failed=True)
-            if est is not None:
-                return series, RunOutcome(
-                    kind="blew_up", T=t, t_max_estimate=est,
-                    details=str(failure), energy_drift=drift)
-            raise
-        t += dt
-        au = a(u)
-        terms = energy_terms(u, au, v, w, p)
-        e_now = terms[0]
-        drift += abs(e_now - e_prev - dt * stats.midpoint_dissipation)
-        if k % stride == 0 or k == n_steps:
-            _record(series, t, u, v, terms, stepper, eps)
-            _, i_now, _, _, grad_sq, lp_p, l2_v = terms
-            if (monitors.nehari_invariance
-                    and i_now < -scale_invariant_tol(grad_sq, lp_p)):
-                return series, RunOutcome(
-                    kind="monitor_violation", T=t, energy_drift=drift,
-                    details=f"Nehari invariance lost: I={i_now} at t={t}")
-            if monitors.grad_bound and grad_sq > grad_cap:
-                return series, RunOutcome(
-                    kind="monitor_violation", T=t, energy_drift=drift,
-                    details=f"gradient bound exceeded: {grad_sq} > {grad_cap}")
-            if monitors.energy_monotone and e_now > e_prev + energy_tol:
-                return series, RunOutcome(
-                    kind="monitor_violation", T=t, energy_drift=drift,
-                    details=f"energy increased beyond tolerance at t={t}")
-            norm = math.sqrt(grad_sq) + math.sqrt(l2_v)
-            if norm > BLOWUP_NORM_THRESHOLD:
-                est = detect_blowup(series)
-                return series, RunOutcome(
-                    kind="blew_up", T=t, energy_drift=drift,
-                    t_max_estimate=est if est is not None else t,
-                    details=f"divergence norm {norm:.3e} crossed threshold")
-        e_prev = e_now
-    return series, RunOutcome(kind="completed", T=t, energy_drift=drift)
+            for r in failure.rows:
+                row = rows[r]
+                est = detect_blowup(row.series, step_failed=True)
+                results[row.index] = failure if est is None else (
+                    row.series, RunOutcome(kind="blew_up", T=row.t, t_max_estimate=est,
+                                           details=str(failure),
+                                           energy_drift=row.drift))
+            # the survivors step again from the same state
+            keep = [r for r in range(len(rows)) if r not in failure.rows]
+        else:
+            u, v = u_new, v_new
+            au = a(u)
+            terms = energy_terms(u, au, v, w, p)
+            sampled = k % stride == 0 or k == n_steps
+            if sampled:
+                vus, vavs = mesh.row_dots(v, u), mesh.row_dots(v, a(v))
+            keep = []
+            for r, (row, row_terms, diss) in enumerate(
+                    zip(rows, terms, stats.midpoint_dissipation)):
+                row.t += dt
+                e_now = row_terms[0]
+                row.drift += abs(e_now - row.e_prev - dt * diss)
+                if sampled:
+                    row.record(row_terms, vus[r], vavs[r], w)
+                    outcome = row.check(row_terms)
+                    if outcome is not None:
+                        results[row.index] = (row.series, outcome)
+                        continue
+                row.e_prev = e_now
+                keep.append(r)
+            k += 1
+        if len(keep) < len(rows):
+            rows, u, v, au = [rows[r] for r in keep], u[keep], v[keep], au[keep]
+            if rows:
+                stepper = Stepper(domain, [params[row.index] for row in rows], cfg)
+    for row in rows:
+        results[row.index] = (row.series, RunOutcome(kind="completed", T=row.t,
+                                                     energy_drift=row.drift))
+    return results
+
+
+def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
+        monitors: MonitorSet | None = None) -> tuple[TimeSeries, RunOutcome]:
+    """Integrate to the horizon, sampling diagnostics and enforcing monitors.
+
+    This is `run_many` with one row; a StepFailure that ends the run is raised.
+    """
+    (result,) = run_many([initial], [params], cfg, horizon, [monitors])
+    if isinstance(result, StepFailure):
+        raise result
+    return result
 
 
 def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float:

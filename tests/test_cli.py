@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 
 import pytest
@@ -125,12 +126,34 @@ def test_sweep_grid(tmp_path):
     assert len(lines) == 1 + 5  # header + grid minus the undamped point
 
 
-def test_sweep_bad_base_setting_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("setting", ["model.omega=nan", "step.dt=nan"])
+def test_sweep_bad_base_setting_writes_nothing(tmp_path, capsys, setting):
     out = tmp_path / "out"
-    assert cli.main(["sweep", "--out", str(out), "--set", "model.omega=nan",
+    assert cli.main(["sweep", "--out", str(out), "--set", setting,
                      "--vary", "model.mu=0.5,1"]) == 1
     assert "not a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_points_equal_separate_runs(tmp_path):
+    """The points of a sweep step together, and each writes what `run` writes."""
+    settings = [*FAST, "--set", "run.horizon=1.0", "--set", "step.dt=0.004"]
+    assert cli.main(["sweep", "--out", str(tmp_path / "sweep"), *settings,
+                     "--vary", "init.kind=stable,unstable",
+                     "--vary", "model.omega=0,0.1"]) == 0
+    outcomes = set()
+    for idx, (kind, omega) in enumerate(itertools.product(("stable", "unstable"),
+                                                          ("0", "0.1"))):
+        run_dir = tmp_path / f"run_{idx}"
+        assert cli.main(["run", "--out", str(run_dir), *settings,
+                         "--set", f"init.kind={kind}",
+                         "--set", f"model.omega={omega}"]) == 0
+        point_dir = tmp_path / "sweep" / f"point_{idx:04d}"
+        for name in ("u0.txt", "series.csv", "report.json"):
+            assert (point_dir / name).read_bytes() == (run_dir / name).read_bytes()
+        outcomes.add(json.loads((run_dir / "report.json").read_text())
+                     ["outcome"]["kind"])
+    assert outcomes == {"completed", "blew_up"}
 
 
 def test_sweep_determinism(tmp_path):

@@ -31,7 +31,7 @@ def _stub_solve(stepper, outputs):
 
     def solve(rhs):
         calls.append(rhs)
-        return outputs[(len(calls) - 1) % len(outputs)].copy()
+        return outputs[(len(calls) - 1) % len(outputs)].copy().reshape(rhs.shape)
     stepper._solve = solve
     return calls
 
@@ -243,3 +243,99 @@ def test_run_rejects_non_finite_initial_data(dom63, field):
                         dw.GridField(dom63, values["v"]))
     with pytest.raises(mesh.CorruptFieldError):
         dw.run(state, params, dw.StepConfig(dt=1e-2), 0.1)
+
+
+def _assert_rows_equal(batch, solo):
+    """One `run_many` row against `run` on that row alone, bit for bit."""
+    if isinstance(solo, solver.StepFailure):
+        assert isinstance(batch, solver.StepFailure)
+        assert str(batch) == str(solo)
+        return
+    (series, outcome), (want_series, want_outcome) = batch, solo
+    assert outcome == want_outcome
+    assert len(series) == len(want_series)
+    for name in COLUMNS:
+        assert series.col(name).tobytes() == want_series.col(name).tobytes()
+
+
+def _solo(state, params, cfg, horizon, monitors):
+    try:
+        return dw.run(state, params, cfg, horizon, monitors)
+    except solver.StepFailure as failure:
+        return failure
+
+
+def test_stack_rows_equal_their_solo_runs(dom63, wc63_p4):
+    """Rows leave by step failure, by a monitor and at the horizon; all match."""
+    cfg = dw.StepConfig(dt=4e-3)
+    eps = 0.05
+    armed = dw.MonitorSet(wc=wc63_p4, epsilon=eps, nehari_invariance=True,
+                          grad_bound=True, energy_monotone=True)
+    rows = [  # (omega, mu), initial data, monitors
+        ((0.1, 1.0), ("stable", 0.5), armed),
+        ((0.0, 0.5), ("stable", 0.9), armed),
+        ((0.0, 1.0), ("unstable", 0.9), None),
+        ((0.1, 1.0), ("unstable", 0.5), armed),
+        ((1.0, 0.0), ("stable", 0.3), dw.MonitorSet(epsilon=eps)),
+        ((0.1, 0.5), ("unstable", 0.7), None),
+    ]
+    params = [dw.ModelParams(omega=om, mu=mu, p=4.0) for (om, mu), _, _ in rows]
+    states = []
+    for prm, (_, target, _) in zip(params, rows):
+        u0, u1 = dw.prepare_initial_data(dom63, prm, wc63_p4, target)
+        states.append(dw.SimState(0.0, u0, u1))
+    # give two rows a velocity so that the first step's Picard counts differ
+    for k in (1, 4):
+        v0 = states[k].u.values + 0.3 * mesh.eigenmode(dom63, (3,)).values
+        states[k] = dw.SimState(0.0, states[k].u, dw.GridField(dom63, v0))
+    monitors = [mon for _, _, mon in rows]
+
+    u = np.array([s.u.values for s in states])
+    v = np.array([s.v.values for s in states])
+    (u1, v1), stats = dw.Stepper(dom63, params, cfg).advance(u, v)
+    iters = []
+    for k, (state, prm) in enumerate(zip(states, params)):
+        (uk, vk), solo = dw.Stepper(dom63, prm, cfg).advance(state.u.values,
+                                                             state.v.values)
+        assert uk.tobytes() == u1[k].tobytes() and vk.tobytes() == v1[k].tobytes()
+        assert solo.midpoint_dissipation == stats.midpoint_dissipation[k]
+        iters.append(solo.picard_iters)
+    assert len(set(iters)) > 1
+    assert stats.picard_iters == sum(iters)
+
+    batch = dw.run_many(states, params, cfg, 1.0, monitors)
+    kinds = set()
+    for state, prm, mon, got in zip(states, params, monitors, batch):
+        _assert_rows_equal(got, _solo(state, prm, cfg, 1.0, mon))
+        kinds.add(got[1].kind)
+    assert kinds == {"completed", "blew_up", "monitor_violation"}
+    assert "non-finite" in batch[2][1].details  # left by a failed step
+
+
+def test_rectangle_stack_rows_equal_their_solo_runs():
+    dom = dw.rectangle((1.5, 1.0), (23, 15))
+    cfg = dw.StepConfig(dt=5e-3)
+    phi, psi = mesh.eigenmode(dom).values, mesh.eigenmode(dom, (2, 1)).values
+    rows = [((0.1, 1.0), 0.5, 0.0), ((0.0, 1.0), 2.0, 0.3), ((1.0, 0.5), 1.0, -0.2),
+            ((0.0, 0.1), 10.0, 0.0), ((0.0, 0.1), 30.0, 0.0), ((0.0, 0.1), 60.0, 0.0)]
+    params = [dw.ModelParams(omega=om, mu=mu, p=4.0) for (om, mu), _, _ in rows]
+    states = [dw.SimState(0.0, dw.GridField(dom, a * phi), dw.GridField(dom, b * psi))
+              for _, a, b in rows]
+    monitors = [dw.MonitorSet(epsilon=0.1)] * len(rows)
+    batch = dw.run_many(states, params, cfg, 0.3, monitors)
+    for state, prm, mon, got in zip(states, params, monitors, batch):
+        _assert_rows_equal(got, _solo(state, prm, cfg, 0.3, mon))
+    # the last row fails its first step, before any growth shows
+    assert isinstance(batch[-1], solver.StepFailure)
+    assert {got[1].kind for got in batch[:-1]} == {"completed", "blew_up"}
+
+
+def test_stack_rows_must_share_p_and_domain(dom63):
+    cfg = dw.StepConfig(dt=1e-2)
+    rest = dw.SimState.rest(dw.GridField.zeros(dom63))
+    other = dw.SimState.rest(dw.GridField.zeros(dw.interval(1.0, 31)))
+    p3, p4 = (dw.ModelParams(omega=0.1, mu=1.0, p=p) for p in (3.0, 4.0))
+    with pytest.raises(ValueError, match="share p"):
+        dw.run_many([rest, rest], [p3, p4], cfg, 0.1)
+    with pytest.raises(ValueError, match="share a domain"):
+        dw.run_many([rest, other], [p4, p4], cfg, 0.1)

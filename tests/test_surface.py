@@ -71,3 +71,32 @@ def test_tracer_counts_the_step_loop():
     assert metrics["solver.advance_calls"] == 20
     assert metrics["solver.linear_solves"] == iters >= 20
     assert metrics["series.rows"] == 21
+
+
+def test_tracer_counts_the_stacked_step_loop():
+    """Under `run_many` the hook sees each stacked step once, every row's
+    solves and every row's samples."""
+    dom = dw.interval(1.0, 63)
+    cfg = dw.StepConfig(dt=5e-3)
+    params = [dw.ModelParams(omega=omega, mu=1.0, p=4.0) for omega in (0.0, 0.1, 1.0)]
+    u0s = [scale * dw.mesh.eigenmode(dom).values for scale in (0.5, 2.0, 3.0)]
+    iters = 0
+    for prm, u in zip(params, u0s):
+        stepper = dw.Stepper(dom, prm, cfg)
+        v = np.zeros(dom.size)
+        for _ in range(20):
+            (u, v), stats = stepper.advance(u, v)
+            iters += stats.picard_iters
+
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        results = dw.run_many([dw.SimState.rest(dw.GridField(dom, u0)) for u0 in u0s],
+                              params, cfg, 20 * cfg.dt)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.pass_metrics(0)
+    assert [outcome.kind for _, outcome in results] == ["completed"] * 3
+    assert metrics["solver.advance_calls"] == 20
+    assert metrics["solver.linear_solves"] == iters > 3 * 20
+    assert metrics["series.rows"] == sum(len(series) for series, _ in results) == 3 * 21
