@@ -45,66 +45,14 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    raw: tuple[tuple[str, str], ...]
-
-    def get(self, key: str) -> str:
-        table = dict(self.raw)
-        if key not in table:
-            raise ConfigError(f"unknown config key: {key}")
-        return table[key]
-
-    def get_float(self, key: str) -> float:
-        try:
-            value = float(self.get(key))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: not a finite number")
-        return value
-
-    def get_int(self, key: str) -> int:
-        try:
-            return int(self.get(key))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer") from exc
-
-    def override(self, key: str, value: str) -> "ExperimentConfig":
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
-        return ExperimentConfig(tuple((k, value if k == key else v)
-                                      for k, v in self.raw))
-
-    def domain(self) -> Domain:
-        extents = tuple(float(x) for x in self.get("domain.extents").split(","))
-        counts = tuple(int(x) for x in self.get("domain.n").split(","))
-        return Domain(self.get("domain.kind"), extents, counts)
-
-    def model(self) -> ModelParams:
-        return ModelParams(omega=self.get_float("model.omega"),
-                           mu=self.get_float("model.mu"),
-                           p=self.get_float("model.p"))
-
-    def step_config(self) -> solver.StepConfig:
-        return solver.StepConfig(dt=self.get_float("step.dt"))
-
-    def minimize_opts(self) -> well.MinimizeOpts:
-        return well.MinimizeOpts(max_iter=self.get_int("cstar.max_iter"),
-                                 grad_tol=self.get_float("cstar.grad_tol"),
-                                 seed=self.get_int("seed"))
-
-    def validate(self) -> None:
-        """Build every parsed object once so bad input fails before any work."""
-        self.domain()
-        self.model()
-        if self.get_float("run.horizon") <= 0:
-            raise ConfigError("run.horizon must be positive")
-        self.step_config()
-        self.minimize_opts()
+def _known(key: str) -> str:
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown config key: {key}")
+    return key
 
 
-def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
+def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
+    """DEFAULTS, then the config file's lines, then each --set, as raw strings."""
     table = dict(DEFAULTS)
     if path:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -118,22 +66,84 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
             if key not in DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             table[key] = value.strip()
-    cfg = ExperimentConfig(tuple(sorted(table.items())))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, value = item.split("=", 1)
-        cfg = cfg.override(key.strip(), value.strip())
-    return cfg
+        table[_known(key.strip())] = value.strip()
+    return table
+
+
+def _float(table: dict[str, str], key: str) -> float:
+    try:
+        value = float(table[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number")
+    return value
+
+
+def _int(table: dict[str, str], key: str) -> int:
+    try:
+        return int(table[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not an integer") from exc
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Every setting of one experiment, parsed and checked."""
+
+    config: dict[str, str]  # the raw strings, as report.json records them
+    domain: Domain
+    params: ModelParams
+    step: solver.StepConfig
+    horizon: float
+    opts: well.MinimizeOpts
+    init_kind: str
+    init_fraction: float
+    init_field: GridField | None  # the init.file field when init_kind is "file"
+
+
+def parse(table: dict[str, str]) -> Experiment:
+    """Build every object of an experiment, so bad input fails before any work."""
+    domain = Domain(table["domain.kind"],
+                    tuple(float(x) for x in table["domain.extents"].split(",")),
+                    tuple(int(x) for x in table["domain.n"].split(",")))
+    params = ModelParams(omega=_float(table, "model.omega"),
+                         mu=_float(table, "model.mu"), p=_float(table, "model.p"))
+    horizon = _float(table, "run.horizon")
+    if horizon <= 0:
+        raise ConfigError("run.horizon must be positive")
+    step = solver.StepConfig(dt=_float(table, "step.dt"))
+    opts = well.MinimizeOpts(max_iter=_int(table, "cstar.max_iter"),
+                             grad_tol=_float(table, "cstar.grad_tol"),
+                             seed=_int(table, "seed"))
+    kind = table["init.kind"]
+    if kind not in ("stable", "unstable", "zero", "file"):
+        raise ConfigError(f"unknown init.kind {kind!r}")
+    fraction = _float(table, "init.fraction")
+    field = None
+    if kind == "file":
+        try:
+            field = mesh.read_field(table["init.file"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"init.file: {exc}") from exc
+        if field.domain != domain:
+            raise ConfigError("initial-data file domain does not match config")
+        if not field.is_finite():
+            raise ConfigError("init.file: field contains NaN or Inf")
+    return Experiment(dict(table), domain, params, step, horizon, opts, kind,
+                      fraction, field)
 
 
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _well_report(cfg: ExperimentConfig) -> tuple[well.WellConstants, dict]:
-    dom = cfg.domain()
-    wc = well.well_constants(dom, cfg.get_float("model.p"), cfg.minimize_opts())
+def _well_report(exp: Experiment) -> tuple[well.WellConstants, dict]:
+    wc = well.well_constants(exp.domain, exp.params.p, exp.opts)
     report = {
         "c_star": wc.c_star,
         "d": wc.d,
@@ -141,16 +151,15 @@ def _well_report(cfg: ExperimentConfig) -> tuple[well.WellConstants, dict]:
         "lambda1": wc.lambda1,
         "p": wc.p,
         "domain": wc.fingerprint,
-        "resolution": list(dom.n),
+        "resolution": list(exp.domain.n),
         "iterations": wc.iterations,
         "residual": wc.residual,
     }
     return wc, report
 
 
-def cmd_well(cfg: ExperimentConfig, outdir: Path) -> int:
-    cfg.validate()
-    _, report = _well_report(cfg)
+def cmd_well(exp: Experiment, outdir: Path) -> int:
+    _, report = _well_report(exp)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "well.json"
     _json_dump(report, path)
@@ -158,22 +167,14 @@ def cmd_well(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def _initial_state(cfg: ExperimentConfig, params: ModelParams,
-                   wc: well.WellConstants) -> SimState:
-    kind = cfg.get("init.kind")
-    dom = cfg.domain()
-    if kind == "zero":
-        return SimState.rest(GridField.zeros(dom))
-    if kind == "file":
-        u0 = mesh.read_field(cfg.get("init.file"))
-        if u0.domain != dom:
-            raise ConfigError("initial-data file domain does not match config")
-        return SimState.rest(u0)
-    if kind in ("stable", "unstable"):
-        fraction = cfg.get_float("init.fraction")
-        u0, u1 = well.prepare_initial_data(dom, params, wc, (kind, fraction))
-        return SimState(0.0, u0, u1)
-    raise ConfigError(f"unknown init.kind {kind!r}")
+def _initial_state(exp: Experiment, wc: well.WellConstants) -> SimState:
+    if exp.init_kind == "zero":
+        return SimState.rest(GridField.zeros(exp.domain))
+    if exp.init_kind == "file":
+        return SimState.rest(exp.init_field)
+    u0, u1 = well.prepare_initial_data(exp.domain, exp.params, wc,
+                                       (exp.init_kind, exp.init_fraction))
+    return SimState(0.0, u0, u1)
 
 
 def _classification_dict(cls: well.Classification) -> dict:
@@ -193,38 +194,37 @@ def _certificate_dict(cert: lyapunov.DecayCertificate) -> dict:
 class _Prepared:
     """A point ready to step: its data, classification, certificate, monitors."""
 
+    exp: Experiment
     outdir: Path
     report: dict  # the report.json entries known before the run
-    params: ModelParams
-    step_cfg: solver.StepConfig
-    horizon: float
     initial: SimState
     cert: lyapunov.DecayCertificate | None
     monitors: solver.MonitorSet
 
 
-def _prepare(cfg: ExperimentConfig, outdir: Path) -> _Prepared:
-    """Constants, initial data (written to u0.txt), classification, monitors."""
-    cfg.validate()
+def _prepare(exp: Experiment, outdir: Path) -> _Prepared:
+    """Constants, initial data (written to u0.txt), classification, monitors.
+
+    The directory is made just before u0.txt, so a point that fails before
+    that leaves none behind.
+    """
+    wc, well_report = _well_report(exp)
+    initial = _initial_state(exp, wc)
     outdir.mkdir(parents=True, exist_ok=True)
-    params = cfg.model()
-    wc, well_report = _well_report(cfg)
-    initial = _initial_state(cfg, params, wc)
     mesh.write_field(outdir / "u0.txt", initial.u)
-    cls = well.classify(initial, params, wc)
+    cls = well.classify(initial, exp.params, wc)
     e0 = cls.E
 
     cert = None
     monitors = solver.MonitorSet(wc=wc)
     if cls.category == "N_plus" and 0.0 < e0 < wc.d:
-        cert = lyapunov.select_constants(e0, params, wc)
+        cert = lyapunov.select_constants(e0, exp.params, wc)
         monitors = solver.MonitorSet(wc=wc, epsilon=cert.epsilon,
                                      nehari_invariance=True, grad_bound=True,
                                      energy_monotone=True)
-    report = {"config": dict(cfg.raw), "well": well_report,
+    report = {"config": exp.config, "well": well_report,
               "classification": _classification_dict(cls), "E0": e0}
-    return _Prepared(outdir, report, params, cfg.step_config(),
-                     cfg.get_float("run.horizon"), initial, cert, monitors)
+    return _Prepared(exp, outdir, report, initial, cert, monitors)
 
 
 def _finish(pt: _Prepared, result) -> dict:
@@ -242,7 +242,7 @@ def _finish(pt: _Prepared, result) -> dict:
         "t_max_estimate": outcome.t_max_estimate, "details": outcome.details,
         "energy_drift": outcome.energy_drift})
     if pt.cert is not None and outcome.kind == "completed" and len(series) >= 2:
-        tol_cert = 10.0 * pt.step_cfg.dt**2
+        tol_cert = 10.0 * pt.exp.step.dt**2
         cert = lyapunov.certify_decay(series, pt.cert, tol_cert)
         equiv = lyapunov.equivalence_check(series, cert)
         summary["certificate"] = _certificate_dict(cert)
@@ -255,21 +255,17 @@ def _finish(pt: _Prepared, result) -> dict:
 
 def _step(points: list[_Prepared]) -> list:
     """`solver.run_many` over points that share a domain, dt, horizon and p."""
-    first = points[0]
+    first = points[0].exp
     return solver.run_many([pt.initial for pt in points],
-                           [pt.params for pt in points], first.step_cfg,
+                           [pt.exp.params for pt in points], first.step,
                            first.horizon, [pt.monitors for pt in points])
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: Path) -> dict:
+def cmd_run(exp: Experiment, outdir: Path) -> int:
     """One full run: constants, data, trajectory, certification, reports."""
-    pt = _prepare(cfg, outdir)
+    pt = _prepare(exp, outdir)
     (result,) = _step([pt])
-    return _finish(pt, result)
-
-
-def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
-    summary = run_experiment(cfg, outdir)
+    summary = _finish(pt, result)
     outcome = summary["outcome"]
     line = f"outcome={outcome['kind']} T={outcome['T']:.6g}"
     if outcome["t_max_estimate"] is not None:
@@ -282,12 +278,9 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def cmd_classify(cfg: ExperimentConfig, outdir: Path) -> int:
-    cfg.validate()
-    params = cfg.model()
-    wc, _ = _well_report(cfg)
-    initial = _initial_state(cfg, params, wc)
-    cls = well.classify(initial, params, wc)
+def cmd_classify(exp: Experiment, outdir: Path) -> int:
+    wc, _ = _well_report(exp)
+    cls = well.classify(_initial_state(exp, wc), exp.params, wc)
     print(json.dumps(_classification_dict(cls), indent=2, sort_keys=True))
     return 0
 
@@ -301,7 +294,7 @@ def _parse_vary(items: list[str]) -> list[tuple[str, list[str]]]:
         vals = [v.strip() for v in values.split(",") if v.strip()]
         if not vals:
             raise ConfigError(f"--vary {key}: empty value list")
-        grid.append((key.strip(), vals))
+        grid.append((_known(key.strip()), vals))
     return grid
 
 
@@ -319,34 +312,30 @@ def _guarded(fn, *args):
         return {"error": f"numerical: {exc}"}
 
 
-def cmd_sweep(cfg: ExperimentConfig, outdir: Path, vary: list[str]) -> int:
+def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
     """Prepare every point, step each group that shares a domain, dt, horizon
     and p as one stack, then write every point's files and sweep.csv."""
     grid = _parse_vary(vary)
     if not grid:
         raise ConfigError("sweep needs at least one --vary")
     keys = [key for key, _ in grid]
-    # Read every point's settings before anything is written, so bad input
-    # leaves no output directory behind.
+    # Parse every point before anything is written, so bad input leaves no
+    # output directory behind.
     todo = []
     for idx, combo in enumerate(itertools.product(*(vals for _, vals in grid))):
-        point_cfg = cfg
-        for key, value in zip(keys, combo):
-            point_cfg = point_cfg.override(key, value)
-        if (point_cfg.get_float("model.omega") == 0.0
-                and point_cfg.get_float("model.mu") == 0.0):
+        point = {**table, **dict(zip(keys, combo))}
+        if _float(point, "model.omega") == _float(point, "model.mu") == 0.0:
             continue  # undamped: outside the theory, ModelParams rejects it
-        point_cfg.validate()
-        todo.append((idx, combo, point_cfg))
+        todo.append((idx, combo, parse(point)))
     outdir.mkdir(parents=True, exist_ok=True)
     summaries = {}
     groups: dict[tuple, list[tuple[int, _Prepared]]] = {}
-    for idx, _, point_cfg in todo:
-        pt = _guarded(_prepare, point_cfg, outdir / f"point_{idx:04d}")
+    for idx, _, exp in todo:
+        pt = _guarded(_prepare, exp, outdir / f"point_{idx:04d}")
         if isinstance(pt, dict):
             summaries[idx] = pt
         else:
-            key = (pt.initial.u.domain, pt.step_cfg.dt, pt.horizon, pt.params.p)
+            key = (exp.domain, exp.step.dt, exp.horizon, exp.params.p)
             groups.setdefault(key, []).append((idx, pt))
     for members in groups.values():
         results = _guarded(_step, [pt for _, pt in members])
@@ -411,16 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
+        table = load_config(args.config, args.overrides)
         outdir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "."))
-        if args.command == "well":
-            return cmd_well(cfg, outdir)
-        if args.command == "run":
-            return cmd_run(cfg, outdir)
-        if args.command == "classify":
-            return cmd_classify(cfg, outdir)
         if args.command == "sweep":
-            return cmd_sweep(cfg, outdir, args.vary)
+            return cmd_sweep(table, outdir, args.vary)
+        exp = parse(table)
+        if args.command == "well":
+            return cmd_well(exp, outdir)
+        if args.command == "run":
+            return cmd_run(exp, outdir)
+        if args.command == "classify":
+            return cmd_classify(exp, outdir)
     except (ConfigError, well.InfeasibleTargetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

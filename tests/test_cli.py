@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import dampedwave as dw
@@ -51,7 +52,7 @@ def test_unknown_key_exits_1(tmp_path):
 
 @pytest.mark.parametrize("setting", [
     "run.horizon=inf", "model.p=nan", "cstar.grad_tol=nan", "step.dt=inf",
-    "model.omega=nan"])
+    "model.omega=nan", "init.fraction=nan"])
 def test_non_finite_value_exits_1(tmp_path, capsys, setting):
     out = tmp_path / "out"
     assert cli.main(["run", "--out", str(out), "--set", "domain.n=15",
@@ -63,10 +64,83 @@ def test_non_finite_value_exits_1(tmp_path, capsys, setting):
 def test_config_file_and_override(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("# comment\nmodel.p=3.0\ndomain.n=31\n")
-    cfg = cli.load_config(str(cfg_path), ["model.omega=0.25"])
-    assert cfg.get_float("model.p") == 3.0
-    assert cfg.get_float("model.omega") == 0.25
-    assert cfg.get_int("domain.n") == 31
+    exp = cli.parse(cli.load_config(str(cfg_path), ["model.omega=0.25"]))
+    assert exp.params.p == 3.0
+    assert exp.params.omega == 0.25
+    assert exp.domain.n == (31,)
+
+
+# One malformed value per config key: each must fail before anything is
+# written, so no key can be read late, after the output directory exists.
+MALFORMED = {
+    "domain.kind": "disk",
+    "domain.extents": "1.0,1.0",
+    "domain.n": "1",
+    "model.omega": "-1",
+    "model.mu": "x",
+    "model.p": "2",
+    "init.kind": "bogus",
+    "init.fraction": "inf",
+    "init.file": "missing.txt",  # read only with init.kind=file
+    "step.dt": "0",
+    "run.horizon": "-1",
+    "cstar.max_iter": "many",
+    "cstar.grad_tol": "nan",
+    "seed": "1.5",
+}
+
+
+def test_every_key_is_checked_before_output(tmp_path, capsys):
+    assert MALFORMED.keys() == cli.DEFAULTS.keys()
+    for key, value in MALFORMED.items():
+        out = tmp_path / key
+        if key == "init.file":
+            value = str(tmp_path / value)
+        kind = ["--set", "init.kind=file"] if key == "init.file" else []
+        assert cli.main(["run", "--out", str(out), *kind,
+                         "--set", f"{key}={value}"]) == 1, key
+        assert capsys.readouterr().err, key
+        assert not out.exists(), key
+
+
+def _field_file(tmp_path, flaw):
+    """A 15-node interval field file that is missing, holds a NaN or is cut short."""
+    path = tmp_path / f"{flaw}.txt"
+    values = np.linspace(0.1, 1.5, 15)
+    if flaw == "nan":
+        values[3] = np.nan
+    if flaw != "missing":
+        mesh.write_field(path, mesh.GridField(dw.interval(1.0, 15), values))
+    if flaw == "truncated":
+        path.write_text("".join(path.read_text().splitlines(True)[:8]))
+    return path
+
+
+@pytest.mark.parametrize("command,settings,message", [
+    ("run", ["init.kind=bogus"], "unknown init.kind"),
+    ("sweep", ["init.kind=bogus"], "unknown init.kind"),
+    ("run", ["init.fraction=1.5"], "0 < fraction < 1"),
+    ("run", ["init.kind=file", "init.file={missing}"], "No such file"),
+    ("classify", ["init.kind=file", "init.file={missing}"], "No such file"),
+    ("sweep", ["init.kind=file", "init.file={missing}"], "No such file"),
+    ("run", ["init.kind=file", "init.file={nan}"], "NaN or Inf"),
+    ("sweep", ["init.kind=file", "init.file={nan}"], "NaN or Inf"),
+    ("run", ["init.kind=file", "init.file={truncated}"], "7 values"),
+])
+def test_bad_initial_data_exits_1_and_writes_nothing(tmp_path, capsys, command,
+                                                     settings, message):
+    files = {flaw: _field_file(tmp_path, flaw)
+             for flaw in ("missing", "nan", "truncated")}
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--set", "domain.n=15",
+            "--set", "run.horizon=0.2"]
+    for setting in settings:
+        argv += ["--set", setting.format(**files)]
+    if command == "sweep":
+        argv += ["--vary", "model.mu=0.5,1"]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_zero_data(tmp_path):
@@ -126,13 +200,27 @@ def test_sweep_grid(tmp_path):
     assert len(lines) == 1 + 5  # header + grid minus the undamped point
 
 
-@pytest.mark.parametrize("setting", ["model.omega=nan", "step.dt=nan"])
+@pytest.mark.parametrize("setting", ["model.omega=nan", "step.dt=nan",
+                                     "init.fraction=nan"])
 def test_sweep_bad_base_setting_writes_nothing(tmp_path, capsys, setting):
     out = tmp_path / "out"
     assert cli.main(["sweep", "--out", str(out), "--set", setting,
                      "--vary", "model.mu=0.5,1"]) == 1
     assert "not a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_point_failing_in_preparation_has_no_directory(tmp_path):
+    """A point whose initial data cannot be built gets an error row only."""
+    assert cli.main(["sweep", "--out", str(tmp_path), *FAST,
+                     "--vary", "init.kind=stable,unstable",
+                     "--vary", "init.fraction=0.5,1.5"]) == 0
+    rows = _sweep_rows(tmp_path)
+    assert [row["outcome"] == "error" for row in rows] == [False, True,
+                                                           False, True]
+    for row in rows:
+        point_dir = tmp_path / f"point_{int(row['index']):04d}"
+        assert point_dir.exists() == (row["outcome"] != "error")
 
 
 def test_sweep_points_equal_separate_runs(tmp_path):
