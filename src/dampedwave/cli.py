@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import lyapunov, mesh, solver, well
@@ -55,7 +55,11 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
     """DEFAULTS, then the config file's lines, then each --set, as raw strings."""
     table = dict(DEFAULTS)
     if path:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"--config: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -91,6 +95,11 @@ def _int(table: dict[str, str], key: str) -> int:
         raise ConfigError(f"{key}: not an integer") from exc
 
 
+def _each(table: dict[str, str], key: str, convert) -> tuple:
+    """The comma-separated items of one key, each converted by `convert`."""
+    return tuple(convert({key: item}, key) for item in table[key].split(","))
+
+
 @dataclass(frozen=True)
 class Experiment:
     """Every setting of one experiment, parsed and checked."""
@@ -108,9 +117,8 @@ class Experiment:
 
 def parse(table: dict[str, str]) -> Experiment:
     """Build every object of an experiment, so bad input fails before any work."""
-    domain = Domain(table["domain.kind"],
-                    tuple(float(x) for x in table["domain.extents"].split(",")),
-                    tuple(int(x) for x in table["domain.n"].split(",")))
+    domain = Domain(table["domain.kind"], _each(table, "domain.extents", _float),
+                    _each(table, "domain.n", _int))
     params = ModelParams(omega=_float(table, "model.omega"),
                          mu=_float(table, "model.mu"), p=_float(table, "model.p"))
     horizon = _float(table, "run.horizon")
@@ -183,13 +191,6 @@ def _classification_dict(cls: well.Classification) -> dict:
             "I": cls.I, "J": cls.J, "E": cls.E}
 
 
-def _certificate_dict(cert: lyapunov.DecayCertificate) -> dict:
-    return {"delta": cert.delta, "eta": cert.eta, "M": cert.M,
-            "epsilon": cert.epsilon, "beta1": cert.beta1, "beta2": cert.beta2,
-            "xi": cert.xi, "xi_fitted": cert.xi_fitted, "fit_r2": cert.fit_r2,
-            "violated_at": cert.violated_at}
-
-
 @dataclass(frozen=True)
 class _Prepared:
     """A point ready to step: its data, classification, certificate, monitors."""
@@ -202,13 +203,17 @@ class _Prepared:
     monitors: solver.MonitorSet
 
 
-def _prepare(exp: Experiment, outdir: Path) -> _Prepared:
+def _prepare(exp: Experiment, outdir: Path, constants: dict) -> _Prepared:
     """Constants, initial data (written to u0.txt), classification, monitors.
 
-    The directory is made just before u0.txt, so a point that fails before
-    that leaves none behind.
+    `constants` maps (domain, p, opts) to the `_well_report` of an earlier
+    point, and receives this point's.  The directory is made just before
+    u0.txt, so a point that fails before that leaves none behind.
     """
-    wc, well_report = _well_report(exp)
+    key = (exp.domain, exp.params.p, exp.opts)
+    if key not in constants:
+        constants[key] = _well_report(exp)
+    wc, well_report = constants[key]
     initial = _initial_state(exp, wc)
     outdir.mkdir(parents=True, exist_ok=True)
     mesh.write_field(outdir / "u0.txt", initial.u)
@@ -237,15 +242,12 @@ def _finish(pt: _Prepared, result) -> dict:
     series, outcome = result
     series.to_csv(pt.outdir / "series.csv")
 
-    summary = dict(pt.report, outcome={
-        "kind": outcome.kind, "T": outcome.T,
-        "t_max_estimate": outcome.t_max_estimate, "details": outcome.details,
-        "energy_drift": outcome.energy_drift})
+    summary = dict(pt.report, outcome=asdict(outcome))
     if pt.cert is not None and outcome.kind == "completed" and len(series) >= 2:
         tol_cert = 10.0 * pt.exp.step.dt**2
         cert = lyapunov.certify_decay(series, pt.cert, tol_cert)
         equiv = lyapunov.equivalence_check(series, cert)
-        summary["certificate"] = _certificate_dict(cert)
+        summary["certificate"] = asdict(cert)
         summary["certificate"]["tol_cert"] = tol_cert
         summary["equivalence"] = {"passed": equiv.passed,
                                   "n_violations": equiv.n_violations}
@@ -263,7 +265,7 @@ def _step(points: list[_Prepared]) -> list:
 
 def cmd_run(exp: Experiment, outdir: Path) -> int:
     """One full run: constants, data, trajectory, certification, reports."""
-    pt = _prepare(exp, outdir)
+    pt = _prepare(exp, outdir, {})
     (result,) = _step([pt])
     summary = _finish(pt, result)
     outcome = summary["outcome"]
@@ -329,9 +331,10 @@ def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
         todo.append((idx, combo, parse(point)))
     outdir.mkdir(parents=True, exist_ok=True)
     summaries = {}
+    constants: dict = {}  # one C* per distinct (domain, p, opts)
     groups: dict[tuple, list[tuple[int, _Prepared]]] = {}
     for idx, _, exp in todo:
-        pt = _guarded(_prepare, exp, outdir / f"point_{idx:04d}")
+        pt = _guarded(_prepare, exp, outdir / f"point_{idx:04d}", constants)
         if isinstance(pt, dict):
             summaries[idx] = pt
         else:

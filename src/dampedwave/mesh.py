@@ -244,14 +244,14 @@ def shifted_solver(domain: Domain, c0, c1):
 
     A is the Kronecker sum of per-axis tridiagonal matrices, all diagonalized
     by DST-I, so the solve is two transforms around a diagonal scaling, in 1D
-    and 2D alike.  Given arrays of K shifts c0, c1, the solver takes a
+    and 2D alike.  Given sequences of K shifts c0, c1, the solver takes a
     (K, size) stack whose row k it solves with (c0[k], c1[k]); each row is
     transformed by its own matrix product, never by one product over the
     stack, so it rounds exactly as a solve of that row alone.
     """
     c0, c1 = np.asarray(c0), np.asarray(c1)
-    one_row = c0.shape == (1,)
-    if one_row:  # the products of a single field are the faster calls
+    one_row = len(c0) == 1
+    if one_row:  # the products of one field are the faster calls
         c0, c1 = c0[0], c1[0]
     bases = [_sine_basis(m, ha) for m, ha in zip(domain.n, domain.h)]
     if domain.dim == 1:
@@ -259,8 +259,6 @@ def shifted_solver(domain: Domain, c0, c1):
         inv = 1.0 / (c0[..., None] + c1[..., None] * lam)
         if one_row:
             return lambda b: np.dot(s, inv * np.dot(s, b[0]))[None]
-        if inv.ndim == 1:
-            return lambda b: np.dot(s, inv * np.dot(s, b))
         col = inv[..., None]  # rows as columns: one matrix-vector product each
         return lambda b: (s @ (col * (s @ b[..., None])))[..., 0]
     (sx, lx), (sy, ly) = bases

@@ -38,11 +38,10 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class StepFailure(RuntimeError):
     """Picard iteration did not converge or produced non-finite values.
 
-    `rows` lists the failed rows of the stepped stack; a single field is
-    row 0.
+    `rows` lists the failed rows of the stepped stack.
     """
 
-    def __init__(self, message: str, rows: Sequence[int] = (0,)):
+    def __init__(self, message: str, rows: Sequence[int]):
         super().__init__(message)
         self.rows = list(rows)
 
@@ -58,9 +57,9 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class StepStats:
-    picard_iters: int  # summed over the rows of a stack
-    # dissipation identity evaluated at the midpoint; one per row of a stack
-    midpoint_dissipation: float | list[float]
+    picard_iters: int  # summed over the rows of the stack
+    # dissipation identity evaluated at the midpoint, one per row
+    midpoint_dissipation: list[float]
 
 
 @dataclass
@@ -86,46 +85,41 @@ class RunOutcome:
 class Stepper:
     """Holds the exact midpoint solve (2 + dt mu) I + (dt^2/2 + dt omega) A.
 
-    Given one ModelParams it steps one field of shape (size,).  Given a
-    sequence of them that share p it steps a (K, size) stack, row k under
-    params[k]; every row rounds exactly as it does stepped alone.
+    It steps a (K, size) stack, row k under params[k]; the K ModelParams
+    share p, and one trajectory is a stack of one row.  Every row rounds
+    exactly as it does stepped alone.
     """
 
-    def __init__(self, domain: mesh.Domain,
-                 params: ModelParams | Sequence[ModelParams], cfg: StepConfig):
-        rows = [params] if isinstance(params, ModelParams) else list(params)
-        if len({prm.p for prm in rows}) != 1:
+    def __init__(self, domain: mesh.Domain, params: Sequence[ModelParams],
+                 cfg: StepConfig):
+        if len({prm.p for prm in params}) != 1:
             raise ValueError("the rows of a stack must share p")
         self.domain = domain
         self.cfg = cfg
-        self.p = rows[0].p
+        self.p = params[0].p
         self.a = mesh.stiffness(domain)
         w = self.w = domain.weight
-        self._damping = [(-prm.omega * w, prm.mu * w) for prm in rows]
+        self._damping = [(-prm.omega * w, prm.mu * w) for prm in params]
         dt = cfg.dt
         self._solve = mesh.shifted_solver(
-            domain, [2.0 + dt * prm.mu for prm in rows],
-            [0.5 * dt * dt + dt * prm.omega for prm in rows])
+            domain, [2.0 + dt * prm.mu for prm in params],
+            [0.5 * dt * dt + dt * prm.omega for prm in params])
 
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
         return um * np.abs(um) ** (self.p - 2.0)
 
-    def advance(self, u: np.ndarray, v: np.ndarray, au: np.ndarray | None = None
+    def advance(self, u: np.ndarray, v: np.ndarray, au: np.ndarray
                 ) -> tuple[tuple[np.ndarray, np.ndarray], StepStats]:
-        """One midpoint step from (u, v); `au` is A @ u, if already known.
+        """One midpoint step from the (K, size) stacks u and v; `au` is A @ u.
 
         Each row iterates until its own Picard test passes and then stays
         fixed while the other rows go on.  A row whose iterate turns
         non-finite, or that has not converged after PICARD_MAX iterations,
         fails the step: StepFailure names the failed rows.
         """
-        single = u.ndim == 1
-        if single:
-            u, v = u[None], v[None]
-            au = None if au is None else au[None]
+        if u.ndim != 2:
+            raise ValueError(f"advance takes (K, size) stacks, got shape {u.shape}")
         dt = self.cfg.dt
-        if au is None:
-            au = self.a(u)
         base = 2.0 * v - dt * au
         vm = v
         converged = None  # rows that stay fixed while the others iterate on
@@ -169,9 +163,6 @@ class Stepper:
                     self._damping, mesh.row_dots(vm, self.a(vm)),
                     mesh.row_dots(vm, vm))]
         u, v = u + dt * vm, 2.0 * vm - v
-        if single:
-            return (u[0], v[0]), StepStats(picard_iters=iters,
-                                           midpoint_dissipation=diss[0])
         return (u, v), StepStats(picard_iters=iters, midpoint_dissipation=diss)
 
 

@@ -95,7 +95,7 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
         raise ValueError(f"source exponent must satisfy p > 2, got {p}")
     a = mesh.stiffness(domain)
     w = domain.weight
-    solve = mesh.shifted_solver(domain, 0.0, 1.0)
+    solve = mesh.shifted_solver(domain, [0.0], [1.0])
     x = mesh.eigenmode(domain).values
     best_residual = math.inf
     for iterations in itertools.count():
@@ -112,7 +112,7 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
                 f"max_iter={opts.max_iter} iterations above "
                 f"grad_tol={opts.grad_tol}; best relative gradient "
                 f"{best_residual:.3e}", best_residual)
-        x = solve(f)
+        x = solve(f[None])[0]
         x /= np.abs(x).max()
     if stats is not None:
         stats.update(iterations=iterations, residual=relgrad)

@@ -132,25 +132,25 @@ def test_ac4_linear_mode_oracle(source_free_stepper):
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = dw.StepConfig(dt=dt)
-        t, u, v = 0.0, phi.values, np.zeros(dom.size)
-        stepper = source_free_stepper(dom, params, cfg)
+        t, u, v = 0.0, phi.values[None], np.zeros((1, dom.size))
+        stepper = source_free_stepper(dom, [params], cfg)
         for _ in range(int(round(1.0 / dt))):
-            (u, v), _ = stepper.advance(u, v)
+            (u, v), _ = stepper.advance(u, v, stepper.a(u))
             t += dt
-        errs.append(np.max(np.abs(u - exact(t) * phi.values)))
+        errs.append(np.max(np.abs(u[0] - exact(t) * phi.values)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
 
     # decay rate through the slow-mode complex amplitude |c' - s2 c|
     cfg = dw.StepConfig(dt=1e-3)
-    t, u, v = 0.0, phi.values, np.zeros(dom.size)
-    stepper = source_free_stepper(dom, params, cfg)
+    t, u, v = 0.0, phi.values[None], np.zeros((1, dom.size))
+    stepper = source_free_stepper(dom, [params], cfg)
     norm2 = float(phi.values @ phi.values)
     ts, zs = [], []
     for _ in range(int(round(6.0 / cfg.dt))):
-        (u, v), _ = stepper.advance(u, v)
+        (u, v), _ = stepper.advance(u, v, stepper.a(u))
         t += cfg.dt
-        c = float(u @ phi.values) / norm2
-        cd = float(v @ phi.values) / norm2
+        c = float(u[0] @ phi.values) / norm2
+        cd = float(v[0] @ phi.values) / norm2
         ts.append(t)
         zs.append(abs(cd - s2 * c))
     rate, _ = lyapunov.fit_exponential_rate(np.array(ts), np.array(zs))

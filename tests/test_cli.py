@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave import cli, mesh
+from dampedwave import cli, mesh, well
 from dampedwave.series import COLUMNS, TimeSeries
 
 FAST = [
@@ -58,6 +58,31 @@ def test_non_finite_value_exits_1(tmp_path, capsys, setting):
     assert cli.main(["run", "--out", str(out), "--set", "domain.n=15",
                      "--set", "run.horizon=0.2", "--set", setting]) == 1
     assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["well", "run", "classify", "sweep"])
+def test_missing_config_file_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--config", str(tmp_path / "nope.cfg")]
+    if command == "sweep":
+        argv += ["--vary", "model.mu=0.5,1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "nope.cfg" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args,key", [
+    ("run", ["--set", "domain.n=abc"], "domain.n"),
+    ("run", ["--set", "domain.extents=one"], "domain.extents"),
+    ("sweep", ["--vary", "domain.n=15,abc"], "domain.n"),
+])
+def test_non_numeric_domain_value_names_its_key(tmp_path, capsys, command, args,
+                                                key):
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), *args]) == 1
+    assert f"{key}: not " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -242,6 +267,26 @@ def test_sweep_points_equal_separate_runs(tmp_path):
         outcomes.add(json.loads((run_dir / "report.json").read_text())
                      ["outcome"]["kind"])
     assert outcomes == {"completed", "blew_up"}
+
+
+@pytest.mark.parametrize("vary,calls", [
+    (["model.mu=0.5,1", "init.fraction=0.3,0.5"], 1),
+    (["model.p=3,4"], 2),
+])
+def test_sweep_computes_c_star_once_per_exponent(tmp_path, monkeypatch, vary, calls):
+    seen = []
+    real = well.well_constants
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(well, "well_constants", counting)
+    argv = ["sweep", "--out", str(tmp_path), *FAST]
+    for item in vary:
+        argv += ["--vary", item]
+    assert cli.main(argv) == 0
+    assert len(seen) == calls
+    assert all(row["outcome"] != "error" for row in _sweep_rows(tmp_path))
 
 
 def test_sweep_determinism(tmp_path):

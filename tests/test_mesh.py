@@ -188,13 +188,16 @@ def test_stiffness_stencil_matches_csr(dom, rng, csr_stiffness):
 @pytest.mark.parametrize("dom", [dw.interval(1.0, 63),
                                  dw.rectangle((1.5, 1.0), (7, 5))])
 def test_shifted_solver_matches_sparse_direct_solve(dom, rng, csr_stiffness):
-    c0, c1 = 2.005, 0.0050125  # dt = 5e-3, omega = mu = 1
+    # dt = 5e-3 with omega = mu = 1, then with omega = 0.1, mu = 0
+    c0, c1 = [2.005, 2.0], [0.0050125, 0.0005125]
     a = csr_stiffness(dom)
-    m = (c0 * sp.identity(dom.size) + c1 * a).tocsc()
-    b = rng.standard_normal(dom.size)
-    want = spla.spsolve(m, b)
-    got = mesh.shifted_solver(dom, c0, c1)(b)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    b = rng.standard_normal((2, dom.size))
+    for k in (1, 2):  # the one-row and the stacked solve
+        solved = mesh.shifted_solver(dom, c0[:k], c1[:k])(b[:k])
+        for s0, s1, row, got in zip(c0, c1, b, solved):
+            m = (s0 * sp.identity(dom.size) + s1 * a).tocsc()
+            want = spla.spsolve(m, row)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestFieldIO:

@@ -17,12 +17,20 @@ def test_step_config_validation():
 
 def test_zero_is_fixed_point(dom63):
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
-    u = v = np.zeros(dom63.size)
-    stepper = dw.Stepper(dom63, params, dw.StepConfig(dt=1e-2))
+    u = v = np.zeros((1, dom63.size))
+    stepper = dw.Stepper(dom63, [params], dw.StepConfig(dt=1e-2))
     for _ in range(5):
-        u, v = stepper.advance(u, v)[0]
+        u, v = stepper.advance(u, v, stepper.a(u))[0]
     assert not u.any()
     assert not v.any()
+
+
+def test_advance_rejects_a_single_field(dom63):
+    stepper = dw.Stepper(dom63, [dw.ModelParams(omega=0.1, mu=1.0, p=4.0)],
+                         dw.StepConfig(dt=1e-2))
+    zeros = np.zeros(dom63.size)
+    with pytest.raises(ValueError, match=r"\(K, size\)"):
+        stepper.advance(zeros, zeros, zeros)
 
 
 def _stub_solve(stepper, outputs):
@@ -38,26 +46,26 @@ def _stub_solve(stepper, outputs):
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_solve_fails_on_first_iteration(dom63, bad):
-    stepper = dw.Stepper(dom63, dw.ModelParams(omega=0.1, mu=1.0, p=4.0),
+    stepper = dw.Stepper(dom63, [dw.ModelParams(omega=0.1, mu=1.0, p=4.0)],
                          dw.StepConfig(dt=1e-2))
     out = np.zeros(dom63.size)
     out[7] = bad
     calls = _stub_solve(stepper, [out])
-    zeros = np.zeros(dom63.size)
+    zeros = np.zeros((1, dom63.size))
     with pytest.raises(solver.StepFailure, match="non-finite"):
-        stepper.advance(zeros, zeros)
+        stepper.advance(zeros, zeros, zeros)
     assert len(calls) == 1
 
 
 def test_overflowing_picard_change_is_not_non_finite(dom63):
     """Finite iterates whose difference overflows stall; they are not NaN/inf."""
-    stepper = dw.Stepper(dom63, dw.ModelParams(omega=0.1, mu=1.0, p=4.0),
+    stepper = dw.Stepper(dom63, [dw.ModelParams(omega=0.1, mu=1.0, p=4.0)],
                          dw.StepConfig(dt=1e-2))
     calls = _stub_solve(stepper, [np.full(dom63.size, 1e308),
                                   np.full(dom63.size, -1e308)])
-    zeros = np.zeros(dom63.size)
+    zeros = np.zeros((1, dom63.size))
     with pytest.raises(solver.StepFailure, match="stalled"):
-        stepper.advance(zeros, zeros)
+        stepper.advance(zeros, zeros, zeros)
     assert len(calls) == solver.PICARD_MAX
 
 
@@ -72,12 +80,12 @@ def test_linear_mode_oracle(dom63, source_free_stepper):
         return float((c1 * np.exp(s1 * t) + c2 * np.exp(s2 * t)).real)
 
     cfg = dw.StepConfig(dt=2e-3)
-    t, u, v = 0.0, phi.values, np.zeros(dom63.size)
-    stepper = source_free_stepper(dom63, params, cfg)
+    t, u, v = 0.0, phi.values[None], np.zeros((1, dom63.size))
+    stepper = source_free_stepper(dom63, [params], cfg)
     for _ in range(int(round(1.0 / cfg.dt))):
-        (u, v), _ = stepper.advance(u, v)
+        (u, v), _ = stepper.advance(u, v, stepper.a(u))
         t += cfg.dt
-    err = np.max(np.abs(u - exact(t) * phi.values))
+    err = np.max(np.abs(u[0] - exact(t) * phi.values))
     assert err < 5e-6
 
 
@@ -207,16 +215,18 @@ def test_series_rows_match_public_functions(dom, n_steps):
     assert outcome.kind == "completed"
 
     stride = 1 if dom.size <= solver.SAMPLE_EVERY_STEP_MAX_NODES else 10
-    stepper = dw.Stepper(dom, params, cfg)
+    stepper = dw.Stepper(dom, [params], cfg)
     states = [initial]
     for _ in range(n_steps):
         prev = states[-1]
-        (u, v), stats = stepper.advance(prev.u.values, prev.v.values)
-        state = dw.SimState(prev.t + cfg.dt, dw.GridField(dom, u),
-                            dw.GridField(dom, v))
-        vm = dw.GridField(dom, 0.5 * (prev.v.values + v))
+        u = prev.u.values[None]
+        (u, v), stats = stepper.advance(u, prev.v.values[None], stepper.a(u))
+        state = dw.SimState(prev.t + cfg.dt, dw.GridField(dom, u[0]),
+                            dw.GridField(dom, v[0]))
+        vm = dw.GridField(dom, 0.5 * (prev.v.values + v[0]))
         want = dw.dissipation_rate(dw.SimState(state.t, state.u, vm), params)
-        assert stats.midpoint_dissipation == pytest.approx(want, rel=1e-12, abs=0)
+        (diss,) = stats.midpoint_dissipation
+        assert diss == pytest.approx(want, rel=1e-12, abs=0)
         states.append(state)
     sampled = [s for k, s in enumerate(states)
                if k % stride == 0 or k == n_steps]
@@ -292,13 +302,15 @@ def test_stack_rows_equal_their_solo_runs(dom63, wc63_p4):
 
     u = np.array([s.u.values for s in states])
     v = np.array([s.v.values for s in states])
-    (u1, v1), stats = dw.Stepper(dom63, params, cfg).advance(u, v)
+    a = mesh.stiffness(dom63)
+    (u1, v1), stats = dw.Stepper(dom63, params, cfg).advance(u, v, a(u))
     iters = []
     for k, (state, prm) in enumerate(zip(states, params)):
-        (uk, vk), solo = dw.Stepper(dom63, prm, cfg).advance(state.u.values,
-                                                             state.v.values)
+        uk = state.u.values[None]
+        (uk, vk), solo = dw.Stepper(dom63, [prm], cfg).advance(
+            uk, state.v.values[None], a(uk))
         assert uk.tobytes() == u1[k].tobytes() and vk.tobytes() == v1[k].tobytes()
-        assert solo.midpoint_dissipation == stats.midpoint_dissipation[k]
+        assert solo.midpoint_dissipation == [stats.midpoint_dissipation[k]]
         iters.append(solo.picard_iters)
     assert len(set(iters)) > 1
     assert stats.picard_iters == sum(iters)

@@ -12,19 +12,21 @@ import numpy as np
 import dampedwave as dw
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_targets_resolve():
     """Every function the benchmark's traced run wraps still exists."""
-    for span, modname, attr in _load_tracing().TARGETS:
+    for span, modname, attr in _load_perfbench("tracing").TARGETS:
         owner = importlib.import_module(modname)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
@@ -55,13 +57,13 @@ def test_tracer_counts_the_step_loop():
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     cfg = dw.StepConfig(dt=5e-3)
     u0 = 2.0 * dw.mesh.eigenmode(dom).values
-    stepper = dw.Stepper(dom, params, cfg)
-    u, v, iters = u0, np.zeros(dom.size), 0
+    stepper = dw.Stepper(dom, [params], cfg)
+    u, v, iters = u0[None], np.zeros((1, dom.size)), 0
     for _ in range(20):
-        (u, v), stats = stepper.advance(u, v)
+        (u, v), stats = stepper.advance(u, v, stepper.a(u))
         iters += stats.picard_iters
 
-    tracer = _load_tracing().Tracer()
+    tracer = _load_perfbench("tracing").Tracer()
     tracer.install()
     try:
         dw.run(dw.SimState.rest(dw.GridField(dom, u0)), params, cfg, 20 * cfg.dt)
@@ -81,14 +83,14 @@ def test_tracer_counts_the_stacked_step_loop():
     params = [dw.ModelParams(omega=omega, mu=1.0, p=4.0) for omega in (0.0, 0.1, 1.0)]
     u0s = [scale * dw.mesh.eigenmode(dom).values for scale in (0.5, 2.0, 3.0)]
     iters = 0
-    for prm, u in zip(params, u0s):
-        stepper = dw.Stepper(dom, prm, cfg)
-        v = np.zeros(dom.size)
+    for prm, u0 in zip(params, u0s):
+        stepper = dw.Stepper(dom, [prm], cfg)
+        u, v = u0[None], np.zeros((1, dom.size))
         for _ in range(20):
-            (u, v), stats = stepper.advance(u, v)
+            (u, v), stats = stepper.advance(u, v, stepper.a(u))
             iters += stats.picard_iters
 
-    tracer = _load_tracing().Tracer()
+    tracer = _load_perfbench("tracing").Tracer()
     tracer.install()
     try:
         results = dw.run_many([dw.SimState.rest(dw.GridField(dom, u0)) for u0 in u0s],
@@ -100,3 +102,31 @@ def test_tracer_counts_the_stacked_step_loop():
     assert metrics["solver.advance_calls"] == 20
     assert metrics["solver.linear_solves"] == iters > 3 * 20
     assert metrics["series.rows"] == sum(len(series) for series, _ in results) == 3 * 21
+
+
+def test_benchmark_workloads_run(tmp_path):
+    """One reduced pass of each benchmark workload finishes with no error.
+
+    The workloads build `MinimizeOpts(seed=...)`, `MonitorSet(wc=...)`, the
+    `seed` config key and `dw.run`; a change that breaks one of them fails
+    here rather than in the benchmark.
+    """
+    workloads = _load_perfbench("workloads")
+
+    class SmallSweep(workloads.CliSweep):
+        SETTINGS = ("domain.n=15", "step.dt=0.005", "run.horizon=1")
+
+    decay = workloads.LibraryDecay("interval-decay", dw.interval(1.0, 15),
+                                   [(4.0, 1.0, 1.0), (3.0, 0.0, 1.0)],
+                                   dt=5e-3, horizon=0.2)
+    sweep = SmallSweep(tmp_path / "sweep")
+    kinds = []
+    for workload in (decay, sweep):
+        workload.setup()
+        try:
+            points = workload.collect(workload.run(seed=3)).points
+        finally:
+            workload.cleanup()
+        assert [pt for pt in points if "error" in pt] == []
+        kinds += [pt["outcome"] for pt in points]
+    assert sorted(kinds) == ["blew_up"] * 4 + ["completed"] * 6
