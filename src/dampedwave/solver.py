@@ -6,6 +6,16 @@ quadratic energies the scheme's per-step energy balance against the
 dissipation identity is exact, so the measured residual isolates the
 nonlinear quadrature error, which is third order per step.
 
+Each step stops its Picard iteration on an a-posteriori bound.  The
+midpoint matrix S = c0 I + c1 A, c0 = 2 + dt mu, is strictly diagonally
+dominant, so ||S^-1||_inf <= 1/c0 (Varah, Linear Algebra Appl. 11, 1975),
+and the Picard map is a contraction with constant
+rho = dt^2 (p-1) M^(p-2) / (2 c0) wherever |u_mid| <= M.  By the Banach
+fixed-point theorem the iterate is then within rho/(1-rho) times its last
+change of the step's fixed point.  A step ends when that bound meets
+PICARD_TOL, which saves the solve that a test on the change alone spends
+only to confirm the previous one.
+
 `run_many` steps trajectories that share a domain, dt, horizon and p as one
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
 its one-row case.
@@ -29,7 +39,7 @@ ENERGY_TOL_COEFF = 100.0  # monotone-energy allowance: coeff * dt^3 * max(1, E0)
 BLOWUP_NORM_THRESHOLD = 1e6  # ||grad u|| + ||u_t|| at which a run has blown up
 GROWTH_WINDOW = 10  # samples over which a failed step must show growth
 FIT_SAMPLES = 30  # trailing samples in the pole fit of T_max
-PICARD_TOL = 1e-12  # relative max-norm change of the midpoint velocity
+PICARD_TOL = 1e-12  # bound on |vm - fixed point|_inf / max(1, |vm|_inf)
 PICARD_MAX = 50  # Picard iterations before a step fails
 POLE_RTOL = 1e-9  # T_max search stops at this bracket width over its upper end
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -57,9 +67,12 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class StepStats:
-    picard_iters: int  # summed over the rows of the stack
+    picard_iters: int  # linear solves, summed over the rows of the stack
     # dissipation identity evaluated at the midpoint, one per row
     midpoint_dissipation: list[float]
+    # per row, the contraction constant rho that ended the row's iteration,
+    # or inf where the test on the change alone ended it
+    contraction: list[float]
 
 
 @dataclass
@@ -101,9 +114,11 @@ class Stepper:
         w = self.w = domain.weight
         self._damping = [(-prm.omega * w, prm.mu * w) for prm in params]
         dt = cfg.dt
+        c0 = [2.0 + dt * prm.mu for prm in params]
         self._solve = mesh.shifted_solver(
-            domain, [2.0 + dt * prm.mu for prm in params],
-            [0.5 * dt * dt + dt * prm.omega for prm in params])
+            domain, c0, [0.5 * dt * dt + dt * prm.omega for prm in params])
+        # rho = lip * M^(p-2) per row
+        self._lip = [0.5 * dt * dt * (self.p - 1.0) / c for c in c0]
 
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
         return um * np.abs(um) ** (self.p - 2.0)
@@ -113,57 +128,76 @@ class Stepper:
         """One midpoint step from the (K, size) stacks u and v; `au` is A @ u.
 
         Each row iterates until its own Picard test passes and then stays
-        fixed while the other rows go on.  A row whose iterate turns
+        fixed while the other rows go on.  From the second iterate on, with
+        delta = |vm_k - vm_{k-1}|_inf and m = |vm_k|_inf, a row stops when
+        rho < 1/2 and rho delta <= (1 - rho) PICARD_TOL max(1, m), where
+        M = |u|_inf + dt/2 max(|vm_{k-1}|_inf, m + delta) bounds |u_mid| on
+        the ball around vm_k that holds the fixed point.  Otherwise it stops
+        when delta <= PICARD_TOL max(1, m).  A row whose iterate turns
         non-finite, or that has not converged after PICARD_MAX iterations,
         fails the step: StepFailure names the failed rows.
         """
         if u.ndim != 2:
             raise ValueError(f"advance takes (K, size) stacks, got shape {u.shape}")
-        dt = self.cfg.dt
+        dt, q = self.cfg.dt, self.p - 2.0
+        half_dt = 0.5 * dt
         base = 2.0 * v - dt * au
-        vm = v
-        converged = None  # rows that stay fixed while the others iterate on
-        n_converged = iters = 0
+        umax = np.maximum.reduce(np.abs(u), axis=-1).tolist()
+        vm, vmax = v, None  # vmax: |vm_{k-1}|_inf per row, from the second iterate
+        n_rows = len(u)
+        done = [False] * n_rows
+        rho = [math.inf] * n_rows
+        fixed = None  # rows that stay fixed while the others iterate on
+        n_done = iters = 0
         # Overflow near blow-up is expected; non-finite values are caught
         # below and surfaced as a step failure.
         with np.errstate(over="ignore", invalid="ignore"):
             for it in range(1, PICARD_MAX + 1):
-                um = u + 0.5 * dt * vm
+                um = u + half_dt * vm
                 rhs = base + dt * self._nonlinear(um)
                 vm_new = self._solve(rhs)
-                if converged is not None:
-                    vm_new[converged] = vm[converged]
+                if fixed is not None:
+                    vm_new[fixed] = vm[fixed]
                 delta = np.maximum.reduce(np.abs(vm_new - vm), axis=-1).tolist()
-                vm = vm_new
-                # max propagates NaN and inf, so one reduction checks both;
-                # a converged row has delta 0 and passes the test again
+                vm, prev = vm_new, vmax
+                # max propagates NaN and inf, so one reduction checks both
                 vmax = np.maximum.reduce(np.abs(vm), axis=-1).tolist()
-                n_done = 0
-                for d, m in zip(delta, vmax):
+                n_was = n_done
+                for r, (d, m) in enumerate(zip(delta, vmax)):
+                    if done[r]:
+                        continue
                     if not math.isfinite(m):
                         raise StepFailure(
                             "midpoint solve produced non-finite values",
                             [r for r, x in enumerate(vmax) if not math.isfinite(x)])
-                    if d <= PICARD_TOL * max(1.0, m):
+                    tol = PICARD_TOL * max(1.0, m)
+                    if prev is not None:
+                        bound = umax[r] + half_dt * max(prev[r], m + d)
+                        try:
+                            rho_k = self._lip[r] * bound ** q
+                        except OverflowError:  # so large a bound never contracts
+                            rho_k = math.inf
+                        if rho_k < 0.5 and rho_k * d <= (1.0 - rho_k) * tol:
+                            done[r], rho[r] = True, rho_k
+                    if d <= tol:
+                        done[r] = True
+                    if done[r]:
                         n_done += 1
-                iters += it * (n_done - n_converged)
-                if n_done == len(u):
+                        iters += it
+                if n_done == n_rows:
                     break
-                if n_done > n_converged:
-                    n_converged = n_done
-                    converged = np.array([d <= PICARD_TOL * max(1.0, m)
-                                          for d, m in zip(delta, vmax)])
+                if n_done > n_was:
+                    fixed = np.array(done)
             else:
-                stalled = (range(len(u)) if converged is None
-                           else np.flatnonzero(~converged).tolist())
                 raise StepFailure(f"Picard stalled after {PICARD_MAX} iterations",
-                                  stalled)
+                                  [r for r in range(n_rows) if not done[r]])
         diss = [omega_w * grad_sq - mu_w * sq
                 for (omega_w, mu_w), grad_sq, sq in zip(
                     self._damping, mesh.row_dots(vm, self.a(vm)),
                     mesh.row_dots(vm, vm))]
         u, v = u + dt * vm, 2.0 * vm - v
-        return (u, v), StepStats(picard_iters=iters, midpoint_dissipation=diss)
+        return (u, v), StepStats(picard_iters=iters, midpoint_dissipation=diss,
+                                 contraction=rho)
 
 
 class _Row:

@@ -183,6 +183,23 @@ def test_ac5_blowup_alternative(domain, constants):
                    f"max grad {grad.max():.3e} vs 100*beta {100 * wc.beta:.3e}")
 
 
+def test_ac5_t_max_converges_in_dt(domain, constants):
+    """The AC-5 blow-up time estimate agrees within 0.5% when dt is halved."""
+    wc = constants[4.0]
+    params = dw.ModelParams(omega=0.0, mu=1.0, p=4.0)
+    u0, u1 = dw.prepare_initial_data(domain, params, wc, ("unstable", 0.9))
+    estimates = []
+    for dt in (1e-3, 5e-4):
+        _, outcome = dw.run(dw.SimState(0.0, u0, u1), params,
+                            dw.StepConfig(dt=dt), 50.0)
+        assert outcome.kind == "blew_up"
+        estimates.append(outcome.t_max_estimate)
+    gap = abs(estimates[0] - estimates[1]) / estimates[1]
+    assert verdict("AC-5 dt-convergence", gap <= 5e-3,
+                   f"t_max~{estimates[0]:.6f} (dt=1e-3), {estimates[1]:.6f} "
+                   f"(dt=5e-4), gap {gap:.2e}")
+
+
 def test_ac6_variational_constants(lbfgs_c_star):
     """C* is resolution-consistent, oracle-consistent, and ties to d, beta."""
     p = 4.0

@@ -69,6 +69,88 @@ def test_overflowing_picard_change_is_not_non_finite(dom63):
     assert len(calls) == solver.PICARD_MAX
 
 
+def _midpoint_map(stepper, u, v, au):
+    """The step's exact Picard map vm -> S^-1 (2v - dt Au + dt f(u + dt vm/2))."""
+    dt = stepper.cfg.dt
+    base = 2.0 * v - dt * au
+    return lambda vm: stepper._solve(base + dt * stepper._nonlinear(u + 0.5 * dt * vm))
+
+
+@pytest.mark.parametrize("dom", [dw.interval(1.0, 63),
+                                 dw.rectangle((1.5, 1.0), (47, 31))])
+@pytest.mark.parametrize("rows", [
+    [((0.1, 1.0), 20.0, 0.0)],
+    [((0.1, 1.0), 2.0, 0.5), ((0.0, 1.0), 25.0, -3.0), ((1.0, 0.5), 10.0, 1.0)],
+])
+def test_picard_stop_is_within_tolerance_of_the_fixed_point(dom, rows):
+    """The returned midpoint velocity is PICARD_TOL-close to the step's fixed point."""
+    params = [dw.ModelParams(omega=om, mu=mu, p=4.0) for (om, mu), _, _ in rows]
+    phi, psi = mesh.eigenmode(dom).values, mesh.eigenmode(dom, (2,) * dom.dim).values
+    u = np.array([a * phi for _, a, _ in rows])
+    v = np.array([b * psi for _, _, b in rows])
+    stepper = dw.Stepper(dom, params, dw.StepConfig(dt=5e-3))
+    contractions = []
+    for _ in range(5):
+        au = stepper.a(u)
+        (u_new, v_new), stats = stepper.advance(u, v, au)
+        vm = 0.5 * (v + v_new)
+        step_map, fixed = _midpoint_map(stepper, u, v, au), vm
+        for _ in range(100):
+            fixed = step_map(fixed)
+        err = np.abs(vm - fixed).max(axis=-1)
+        scale = np.maximum(1.0, np.abs(vm).max(axis=-1))
+        assert (err <= solver.PICARD_TOL * scale).all()
+        contractions += stats.contraction
+        u, v = u_new, v_new
+    assert len(contractions) == 5 * len(rows)
+    assert max(c for c in contractions if c < math.inf) > 1e-3  # a bound that bites
+    assert all(c < 0.5 or c == math.inf for c in contractions)
+
+
+def test_contraction_bound_saves_a_solve_per_step(dom63, wc63_p4):
+    """Against the test on the change alone, from the same states, over 200 steps."""
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    u0, u1 = dw.prepare_initial_data(dom63, params, wc63_p4, ("stable", 0.5))
+    stepper = dw.Stepper(dom63, [params], dw.StepConfig(dt=5e-3))
+    u, v = u0.values[None], u1.values[None]
+    solves = old_solves = 0
+    for _ in range(200):
+        au = stepper.a(u)
+        step_map, vm = _midpoint_map(stepper, u, v, au), v
+        for it in range(1, solver.PICARD_MAX + 1):
+            vm, prev = step_map(vm), vm
+            tol = solver.PICARD_TOL * max(1.0, np.abs(vm).max())
+            if np.abs(vm - prev).max() <= tol:
+                break
+        old_solves += it
+        (u, v), stats = stepper.advance(u, v, au)
+        solves += stats.picard_iters
+    assert solves / 200 <= old_solves / 200 - 0.9
+
+
+@pytest.mark.parametrize("level, n_solves, by_rho", [
+    (0.0, 2, True),      # rho ~ 2e-9: the second iterate is certified
+    (100.0, 3, False),   # rho ~ 0.75 >= 1/2: only the change test may stop
+    (1e200, 3, False),   # M^(p-2) overflows a float: the change test decides
+])
+def test_contraction_test_falls_back_to_the_change_test(dom63, level, n_solves, by_rho):
+    dt = 1e-2
+    stepper = dw.Stepper(dom63, [dw.ModelParams(omega=0.1, mu=1.0, p=4.0)],
+                         dw.StepConfig(dt=dt))
+    out = np.ones(dom63.size)
+    # the second change, 5e-12, fails the change test; the third is 0
+    calls = _stub_solve(stepper, [out, out + 5e-12, out + 5e-12])
+    u, zeros = np.full((1, dom63.size), level), np.zeros((1, dom63.size))
+    _, stats = stepper.advance(u, zeros, zeros)
+    assert len(calls) == stats.picard_iters == n_solves
+    (rho,) = stats.contraction
+    if by_rho:
+        bound = level + 0.5 * dt * (1.0 + 1e-11)
+        assert rho == pytest.approx(dt**2 * 3.0 * bound**2 / (2.0 * 2.01), rel=1e-12)
+    else:
+        assert rho == math.inf
+
+
 def test_linear_mode_oracle(dom63, source_free_stepper):
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     lam = mesh.eigenvalue(dom63)
