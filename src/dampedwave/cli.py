@@ -45,10 +45,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _known(key: str) -> str:
+def _pair(item: str, where: str) -> tuple[str, str]:
+    """One `key=value` item with a known key; `where` names its source."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    key, value = (part.strip() for part in item.split("=", 1))
     if key not in DEFAULTS:
-        raise ConfigError(f"unknown config key: {key}")
-    return key
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
@@ -59,22 +63,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"--config: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            table[key] = value.strip()
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        table[_known(key.strip())] = value.strip()
+        table.update(_pair(line, f"{path}:{lineno}")
+                     for lineno, line in enumerate(text.splitlines(), 1)
+                     if line.strip() and not line.strip().startswith("#"))
+    table.update(_pair(item, "--set") for item in overrides)
     return table
 
 
@@ -152,17 +144,8 @@ def _json_dump(obj, path: Path) -> None:
 
 def _well_report(exp: Experiment) -> tuple[well.WellConstants, dict]:
     wc = well.well_constants(exp.domain, exp.params.p, exp.opts)
-    report = {
-        "c_star": wc.c_star,
-        "d": wc.d,
-        "beta": wc.beta,
-        "lambda1": wc.lambda1,
-        "p": wc.p,
-        "domain": wc.fingerprint,
-        "resolution": list(exp.domain.n),
-        "iterations": wc.iterations,
-        "residual": wc.residual,
-    }
+    report = dict(asdict(wc), resolution=list(exp.domain.n))
+    report["domain"] = report.pop("fingerprint")
     return wc, report
 
 
@@ -186,9 +169,7 @@ def _initial_state(exp: Experiment, wc: well.WellConstants) -> SimState:
 
 
 def _classification_dict(cls: well.Classification) -> dict:
-    return {"category": cls.category, "in_W": cls.in_W, "in_U": cls.in_U,
-            "high_energy": cls.high_energy, "smallness_holds": cls.smallness_holds,
-            "I": cls.I, "J": cls.J, "E": cls.E}
+    return {k: v for k, v in asdict(cls).items() if k != "tol_I"}
 
 
 @dataclass(frozen=True)
@@ -290,13 +271,11 @@ def cmd_classify(exp: Experiment, outdir: Path) -> int:
 def _parse_vary(items: list[str]) -> list[tuple[str, list[str]]]:
     grid = []
     for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--vary needs key=v1,v2,..., got {item!r}")
-        key, values = item.split("=", 1)
+        key, values = _pair(item, "--vary")
         vals = [v.strip() for v in values.split(",") if v.strip()]
         if not vals:
             raise ConfigError(f"--vary {key}: empty value list")
-        grid.append((_known(key.strip()), vals))
+        grid.append((key, vals))
     return grid
 
 
@@ -308,9 +287,9 @@ def _guarded(fn, *args):
     """fn(*args), or {"error": ...} when it fails for one sweep point."""
     try:
         return fn(*args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError among them
         return {"error": f"config: {exc}"}
-    except (well.ConvergenceError, solver.StepFailure, RuntimeError) as exc:
+    except RuntimeError as exc:  # ConvergenceError and StepFailure among them
         return {"error": f"numerical: {exc}"}
 
 
@@ -350,28 +329,27 @@ def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
     with open(path, "w") as fh:
         fh.write(",".join(keys + list(SWEEP_COLUMNS)) + "\n")
         for idx, combo, _ in todo:
-            summary = summaries[idx]
-            if "error" in summary:
-                row = list(combo) + [str(idx), "error", "", "", "", "", "", "",
-                                     summary["error"].replace(",", ";")]
-            else:
-                cert = summary.get("certificate", {})
-                outcome = summary["outcome"]
-                est = outcome["t_max_estimate"]
-                row = list(combo) + [
-                    str(idx), outcome["kind"],
-                    f"{summary['E0']:.17g}", f"{summary['well']['d']:.17g}",
-                    _fmt(cert.get("xi")), _fmt(cert.get("xi_fitted")),
-                    _fmt(cert.get("fit_r2")),
-                    _fmt(est), "",
-                ]
-            fh.write(",".join(row) + "\n")
+            row = dict(_sweep_row(summaries[idx]), index=idx)
+            fh.write(",".join([*combo, *(_fmt(row.get(col))
+                                         for col in SWEEP_COLUMNS)]) + "\n")
     print(f"wrote {path} ({len(todo)} rows)")
     return 0
 
 
+def _sweep_row(summary: dict) -> dict:
+    """The sweep.csv entries of one point's summary, or of its error."""
+    if "error" in summary:
+        return {"outcome": "error", "error": summary["error"].replace(",", ";")}
+    return {**summary.get("certificate", {}), **summary["outcome"],
+            "outcome": summary["outcome"]["kind"], "E0": summary["E0"],
+            "d": summary["well"]["d"]}
+
+
 def _fmt(x) -> str:
-    return "" if x is None else f"{x:.17g}"
+    return "" if x is None else x if isinstance(x, str) else f"{x:.17g}"
+
+
+COMMANDS = {"well": cmd_well, "run": cmd_run, "classify": cmd_classify}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,13 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         outdir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "."))
         if args.command == "sweep":
             return cmd_sweep(table, outdir, args.vary)
-        exp = parse(table)
-        if args.command == "well":
-            return cmd_well(exp, outdir)
-        if args.command == "run":
-            return cmd_run(exp, outdir)
-        if args.command == "classify":
-            return cmd_classify(exp, outdir)
+        return COMMANDS[args.command](parse(table), outdir)
     except (ConfigError, well.InfeasibleTargetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -423,7 +395,6 @@ def main(argv: list[str] | None = None) -> int:
     except (well.ConvergenceError, solver.StepFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -49,6 +49,9 @@ class Domain:
             raise ValueError("extents must be positive and finite")
         if any(m < 2 for m in counts):
             raise ValueError("need at least 2 interior nodes per axis")
+        if not all(0.0 < h * h and 0.0 < 1.0 / (h * h) < math.inf for h in self.h):
+            raise ValueError("extents give a grid spacing h with 1/h^2 outside "
+                             "the float range")
 
     @property
     def dim(self) -> int:

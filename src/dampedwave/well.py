@@ -52,8 +52,15 @@ class WellConstants:
                     fingerprint: str = "", iterations: int = 0,
                     residual: float = 0.0) -> "WellConstants":
         # d and beta are defined by these identities; they hold exactly.
-        d = ((p - 2.0) / (2.0 * p)) * c_star ** (-2.0 * p / (p - 2.0))
-        beta = math.sqrt(2.0 * d * p / (p - 2.0))
+        # For p near 2, C*^(-2p/(p-2)) leaves the float range.
+        try:
+            d = ((p - 2.0) / (2.0 * p)) * c_star ** (-2.0 * p / (p - 2.0))
+            beta = math.sqrt(2.0 * d * p / (p - 2.0))
+        except OverflowError:
+            d = beta = math.inf
+        if not (0.0 < d < math.inf and beta < math.inf):
+            raise ValueError(f"p={p} and C*={c_star} give d={d} and beta={beta}, "
+                             "outside the float range")
         return cls(c_star=c_star, d=d, beta=beta, lambda1=lambda1,
                    p=p, fingerprint=fingerprint, iterations=iterations,
                    residual=residual)
@@ -70,6 +77,11 @@ class MinimizeOpts:
     max_iter: int = 1000
     grad_tol: float = 1e-10
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 0 or not self.grad_tol > 0.0:
+            raise ValueError(f"C* iteration needs max_iter >= 0 and grad_tol > 0, "
+                             f"got {self.max_iter} and {self.grad_tol}")
 
 
 def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts(),

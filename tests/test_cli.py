@@ -23,11 +23,18 @@ def test_well_report_and_determinism(tmp_path):
     text1 = (out1 / "well.json").read_text()
     assert text1 == (out2 / "well.json").read_text()
     report = json.loads(text1)
-    for key in ("c_star", "d", "beta", "lambda1", "resolution"):
-        assert key in report
+    # The output schema: a field added to WellConstants or Classification
+    # must show up here.
+    assert report.keys() == {"c_star", "d", "beta", "lambda1", "p", "domain",
+                             "resolution", "iterations", "residual"}
     assert 0 < report["iterations"] <= 1000
     assert report["residual"] < 1e-10
-    assert "starts" not in report and "seed" not in report
+    assert cli.main(["run", "--out", str(tmp_path / "run"), *FAST]) == 0
+    run_report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert run_report["well"] == report
+    assert run_report["classification"].keys() == {
+        "category", "in_W", "in_U", "high_energy", "smallness_holds",
+        "I", "J", "E"}
 
 
 def test_invalid_exponent_exits_1(tmp_path, capsys):
@@ -48,6 +55,63 @@ def test_unknown_key_exits_1(tmp_path):
     for setting in ("model.banana=1", "output.dir=x"):
         assert cli.main(["well", "--out", str(tmp_path),
                          "--set", setting]) == 1
+
+
+@pytest.mark.parametrize("source", ["file", "--set", "--vary"])
+@pytest.mark.parametrize("item", ["model.p", "model.banana=1"])
+def test_bad_item_names_its_source(tmp_path, capsys, source, item):
+    """A config-file line, --set and --vary share one key=value reader."""
+    out = tmp_path / "out"
+    argv = ["sweep", "--out", str(out)]
+    if source == "file":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"# comment\n\nmodel.p=3\n{item}\n")
+        argv += ["--config", str(cfg), "--vary", "model.mu=0.5,1"]
+        where = f"{cfg}:4"
+    elif source == "--set":
+        argv += ["--set", item, "--vary", "model.mu=0.5,1"]
+        where = "--set"
+    else:
+        argv += ["--vary", item]
+        where = "--vary"
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("well", "model.p=2.005"),          # C*^(-2p/(p-2)) overflows
+    ("run", "model.p=2.005"),
+    ("classify", "model.p=2.005"),
+    ("run", "domain.extents=1e-150"),   # the same, through C*
+    ("run", "domain.extents=1e-300"),   # 1/h^2 overflows
+    ("run", "domain.extents=1e200"),    # h^2 overflows
+    ("run", "cstar.grad_tol=0"),        # unreachable C* tolerance
+    ("run", "cstar.grad_tol=-1e-10"),
+    ("run", "cstar.max_iter=-1"),
+    ("sweep", "cstar.grad_tol=0"),
+])
+def test_unusable_numeric_setting_exits_1(tmp_path, capsys, command, setting):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--set", "domain.n=15",
+            "--set", "run.horizon=0.2", "--set", setting]
+    if command == "sweep":
+        argv += ["--vary", "model.mu=0.5,1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_point_out_of_float_range_gets_an_error_row(tmp_path):
+    assert cli.main(["sweep", "--out", str(tmp_path), *FAST,
+                     "--vary", "model.p=2.005,4"]) == 0
+    bad, good = _sweep_rows(tmp_path)
+    assert bad["outcome"] == "error" and "p=2.005" in bad["error"]
+    assert good["outcome"] == "completed" and good["error"] == ""
+    assert not (tmp_path / "point_0000").exists()
+    assert (tmp_path / "point_0001" / "report.json").exists()
 
 
 @pytest.mark.parametrize("setting", [

@@ -69,6 +69,11 @@ CASES = [
       for p in (3, 4, 6)),
     ("classify-file", ["classify", "--set", "init.kind=file",
                        "--set", "init.file=../run-blowup/u0.txt"]),
+    ("sweep-error-row", ["sweep", "--set", "domain.n=31", "--set", "step.dt=0.01",
+                         "--set", "run.horizon=0.5",
+                         "--vary", "init.kind=stable,unstable",
+                         "--vary", "init.fraction=0.5,1.5"]),
+    ("run-bad-p", ["run", "--set", "model.p=2.0"]),  # exit code and stderr
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
