@@ -117,6 +117,10 @@ def parse(table: dict[str, str]) -> Experiment:
     if horizon <= 0:
         raise ConfigError("run.horizon must be positive")
     step = solver.StepConfig(dt=_float(table, "step.dt"))
+    try:
+        solver.step_count(horizon, step.dt)
+    except ValueError as exc:
+        raise ConfigError(f"run.horizon and step.dt: {exc}") from exc
     opts = well.MinimizeOpts(max_iter=_int(table, "cstar.max_iter"),
                              grad_tol=_float(table, "cstar.grad_tol"),
                              seed=_int(table, "seed"))
@@ -168,10 +172,6 @@ def _initial_state(exp: Experiment, wc: well.WellConstants) -> SimState:
     return SimState(0.0, u0, u1)
 
 
-def _classification_dict(cls: well.Classification) -> dict:
-    return {k: v for k, v in asdict(cls).items() if k != "tol_I"}
-
-
 @dataclass(frozen=True)
 class _Prepared:
     """A point ready to step: its data, classification, certificate, monitors."""
@@ -202,14 +202,13 @@ def _prepare(exp: Experiment, outdir: Path, constants: dict) -> _Prepared:
     e0 = cls.E
 
     cert = None
-    monitors = solver.MonitorSet(wc=wc)
+    monitors = solver.MonitorSet()
     if cls.category == "N_plus" and 0.0 < e0 < wc.d:
         cert = lyapunov.select_constants(e0, exp.params, wc)
-        monitors = solver.MonitorSet(wc=wc, epsilon=cert.epsilon,
-                                     nehari_invariance=True, grad_bound=True,
-                                     energy_monotone=True)
+        monitors = solver.MonitorSet(epsilon=cert.epsilon, nehari_invariance=True,
+                                     grad_bound=True, energy_monotone=True)
     report = {"config": exp.config, "well": well_report,
-              "classification": _classification_dict(cls), "E0": e0}
+              "classification": asdict(cls), "E0": e0}
     return _Prepared(exp, outdir, report, initial, cert, monitors)
 
 
@@ -230,8 +229,7 @@ def _finish(pt: _Prepared, result) -> dict:
         equiv = lyapunov.equivalence_check(series, cert)
         summary["certificate"] = asdict(cert)
         summary["certificate"]["tol_cert"] = tol_cert
-        summary["equivalence"] = {"passed": equiv.passed,
-                                  "n_violations": equiv.n_violations}
+        summary["equivalence"] = asdict(equiv)
     _json_dump(summary, pt.outdir / "report.json")
     return summary
 
@@ -264,7 +262,7 @@ def cmd_run(exp: Experiment, outdir: Path) -> int:
 def cmd_classify(exp: Experiment, outdir: Path) -> int:
     wc, _ = _well_report(exp)
     cls = well.classify(_initial_state(exp, wc), exp.params, wc)
-    print(json.dumps(_classification_dict(cls), indent=2, sort_keys=True))
+    print(json.dumps(asdict(cls), indent=2, sort_keys=True))
     return 0
 
 

@@ -9,7 +9,7 @@ trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,10 @@ FIT_FLOOR_FRACTION = 1e-12  # fit window: samples with E >= this fraction of E(0
 
 @dataclass(frozen=True)
 class DecayCertificate:
-    """The constant chain of the decay proof plus the fitted empirical rate."""
+    """The constant chain of the decay proof plus the fitted empirical rate.
+
+    The certified rate xi = M*epsilon/beta2 follows from the chain.
+    """
 
     delta: float
     eta: float
@@ -40,20 +43,18 @@ class DecayCertificate:
     epsilon: float
     beta1: float
     beta2: float
-    xi: float
+    xi: float = field(init=False)
     xi_fitted: float = math.nan
     fit_r2: float = math.nan
     violated_at: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("delta", "eta", "M", "epsilon", "xi"):
+        for name in ("delta", "eta", "M", "epsilon"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"certificate constant {name} must be positive")
         if not 0.0 < self.beta1 <= self.beta2:
             raise ValueError("need 0 < beta1 <= beta2 (epsilon too large?)")
-        if not math.isclose(self.xi, self.M * self.epsilon / self.beta2,
-                            rel_tol=1e-12):
-            raise ValueError("xi must equal M*epsilon/beta2")
+        object.__setattr__(self, "xi", self.M * self.epsilon / self.beta2)
 
 
 def lyapunov_L(state: SimState, params: ModelParams, epsilon: float) -> float:
@@ -97,9 +98,8 @@ def select_constants(E0: float, params: ModelParams,
     epsilon = 0.5 * min(eps_damping, 1.0 / (2.0 * c0))
     beta1 = 1.0 - epsilon * c0
     beta2 = 1.0 + epsilon * c0 + epsilon * omega * p / (p - 2.0)
-    xi = m * epsilon / beta2
     return DecayCertificate(delta=delta, eta=eta, M=m, epsilon=epsilon,
-                            beta1=beta1, beta2=beta2, xi=xi)
+                            beta1=beta1, beta2=beta2)
 
 
 def fit_exponential_rate(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -151,8 +151,6 @@ def certify_decay(series: TimeSeries, cert: DecayCertificate,
 class EquivalenceReport:
     passed: bool
     n_violations: int
-    worst_lower_gap: float  # min of (L - beta1*E) over samples
-    worst_upper_gap: float  # min of (beta2*E - L) over samples
 
 
 def equivalence_check(series: TimeSeries, cert: DecayCertificate,
@@ -161,12 +159,5 @@ def equivalence_check(series: TimeSeries, cert: DecayCertificate,
     e = series.col("E")
     ell = series.col("L")
     slack = rtol * (np.abs(e) + np.abs(ell))
-    lower = ell - cert.beta1 * e
-    upper = cert.beta2 * e - ell
-    bad = np.logical_or(lower < -slack, upper < -slack)
-    return EquivalenceReport(
-        passed=not bool(bad.any()),
-        n_violations=int(bad.sum()),
-        worst_lower_gap=float(lower.min()),
-        worst_upper_gap=float(upper.min()),
-    )
+    bad = np.logical_or(ell - cert.beta1 * e < -slack, cert.beta2 * e - ell < -slack)
+    return EquivalenceReport(passed=not bad.any(), n_violations=int(bad.sum()))

@@ -12,12 +12,12 @@ _ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
 class TimeSeries:
     """Samples of (t, E, I, J, L, kinetic, grad_sq, lp_p, l2_v, grad_v_sq).
 
-    The samples live in one float64 buffer of `capacity` rows by one column
-    per name, which doubles when an append finds it full.
+    The samples live in one float64 buffer of one column per name, which
+    starts empty and doubles when an append finds it full.
     """
 
-    def __init__(self, capacity: int = 0):
-        self._buf = np.empty((capacity, len(COLUMNS)))
+    def __init__(self):
+        self._buf = np.empty((0, len(COLUMNS)))
         self._n = 0
 
     def append(self, *values: float) -> None:

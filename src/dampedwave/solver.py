@@ -42,6 +42,7 @@ FIT_SAMPLES = 30  # trailing samples in the pole fit of T_max
 PICARD_TOL = 1e-12  # bound on |vm - fixed point|_inf / max(1, |vm|_inf)
 PICARD_MAX = 50  # Picard iterations before a step fails
 POLE_RTOL = 1e-9  # T_max search stops at this bracket width over its upper end
+MAX_STEPS = 10**7  # most steps of one run; its series grows with the steps
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -79,9 +80,9 @@ class StepStats:
 class MonitorSet:
     """Runtime assertions armed for stable-set runs; all off by default."""
 
-    wc: WellConstants | None = None
+    wc: WellConstants | None = None  # not read; accepted for callers that pass it
     epsilon: float = 0.0  # Lyapunov perturbation recorded in the L column
-    nehari_invariance: bool = False   # I(u(t)) > -tol_I
+    nehari_invariance: bool = False   # I(u(t)) > -scale_invariant_tol
     grad_bound: bool = False          # ||grad u||^2 <= 2p/(p-2) E(0)
     energy_monotone: bool = False
 
@@ -200,17 +201,26 @@ class Stepper:
                                  contraction=rho)
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """round(horizon/dt), at least 1; ValueError when it exceeds MAX_STEPS."""
+    steps = horizon / dt
+    if not steps <= MAX_STEPS:  # inf and NaN too
+        raise ValueError(f"horizon/dt = {steps:.6g} exceeds the ceiling of "
+                         f"{MAX_STEPS} steps")
+    return max(1, round(steps))
+
+
 class _Row:
     """One trajectory of a stack: its samples, clock, energy and monitors."""
 
     def __init__(self, index: int, t: float, params: ModelParams,
-                 monitors: MonitorSet, capacity: int, e0: float, dt: float):
+                 monitors: MonitorSet, e0: float, dt: float):
         p = params.p
         self.index = index
         self.t = t
         self.omega = params.omega
         self.monitors = monitors
-        self.series = TimeSeries(capacity)
+        self.series = TimeSeries()
         self.e_prev = e0
         self.grad_cap = (2.0 * p / (p - 2.0)) * e0 * (1.0 + 1e-6)
         self.energy_tol = ENERGY_TOL_COEFF * dt**3 * max(1.0, abs(e0))
@@ -229,27 +239,32 @@ class _Row:
         self.series.append(self.t, E, I, J, ell, kinetic, grad_sq, lp_p, l2_v,
                            max(w * vav, 0.0))
 
-    def check(self, terms: tuple) -> RunOutcome | None:
-        """The outcome that ends this row at a sample, if any."""
+    def end(self, kind: str, details: str = "", t_max_estimate: float | None = None
+            ) -> tuple[TimeSeries, RunOutcome]:
+        """This row's result, ended now with outcome `kind`."""
+        return self.series, RunOutcome(kind=kind, T=self.t, details=details,
+                                       t_max_estimate=t_max_estimate,
+                                       energy_drift=self.drift)
+
+    def check(self, terms: tuple) -> tuple[TimeSeries, RunOutcome] | None:
+        """The result that ends this row at a sample, if any."""
         e_now, i_now, _, _, grad_sq, lp_p, l2_v = terms
         t, monitors = self.t, self.monitors
         if (monitors.nehari_invariance
                 and i_now < -scale_invariant_tol(grad_sq, lp_p)):
-            return RunOutcome(kind="monitor_violation", T=t, energy_drift=self.drift,
-                              details=f"Nehari invariance lost: I={i_now} at t={t}")
+            return self.end("monitor_violation",
+                            f"Nehari invariance lost: I={i_now} at t={t}")
         if monitors.grad_bound and grad_sq > self.grad_cap:
-            return RunOutcome(
-                kind="monitor_violation", T=t, energy_drift=self.drift,
-                details=f"gradient bound exceeded: {grad_sq} > {self.grad_cap}")
+            return self.end("monitor_violation",
+                            f"gradient bound exceeded: {grad_sq} > {self.grad_cap}")
         if monitors.energy_monotone and e_now > self.e_prev + self.energy_tol:
-            return RunOutcome(kind="monitor_violation", T=t, energy_drift=self.drift,
-                              details=f"energy increased beyond tolerance at t={t}")
+            return self.end("monitor_violation",
+                            f"energy increased beyond tolerance at t={t}")
         norm = math.sqrt(grad_sq) + math.sqrt(l2_v)
         if norm > BLOWUP_NORM_THRESHOLD:
-            est = detect_blowup(self.series)
-            return RunOutcome(kind="blew_up", T=t, energy_drift=self.drift,
-                              t_max_estimate=est if est is not None else t,
-                              details=f"divergence norm {norm:.3e} crossed threshold")
+            # the sample just recorded crosses the threshold, so an estimate exists
+            return self.end("blew_up", f"divergence norm {norm:.3e} crossed threshold",
+                            detect_blowup(self.series))
         return None
 
 
@@ -262,6 +277,7 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     Returns per row what `run` returns for that row alone, bit for bit: its
     (series, outcome), or the StepFailure that ended it.  A row leaves the
     stack when it fails a step, trips a monitor or blows up; the others go on.
+    A horizon of more than MAX_STEPS steps raises ValueError.
 
     The energy is evaluated once per step on raw arrays; the drift, the
     monitors and the sampled row all share that evaluation, and its A @ u
@@ -269,6 +285,7 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    n_steps = step_count(horizon, cfg.dt)
     if monitors is None:
         monitors = [None] * len(states)
     if not states or not len(states) == len(params) == len(monitors):
@@ -279,14 +296,12 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     stepper = Stepper(domain, params, cfg)
     a, w, p, dt = stepper.a, stepper.w, stepper.p, cfg.dt
     stride = 1 if domain.size <= SAMPLE_EVERY_STEP_MAX_NODES else 10
-    n_steps = max(1, int(round(horizon / dt)))
 
     u = np.array([state.u.values for state in states])
     v = np.array([state.v.values for state in states])
     au = a(u)
     terms = energy_terms(u, au, v, w, p)
-    rows = [_Row(k, state.t, prm, mon or MonitorSet(), n_steps // stride + 2,
-                 row_terms[0], dt)
+    rows = [_Row(k, state.t, prm, mon or MonitorSet(), row_terms[0], dt)
             for k, (state, prm, mon, row_terms) in enumerate(
                 zip(states, params, monitors, terms))]
     for row, row_terms, vu, vav in zip(rows, terms, mesh.row_dots(v, u),
@@ -302,10 +317,8 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
             for r in failure.rows:
                 row = rows[r]
                 est = detect_blowup(row.series, step_failed=True)
-                results[row.index] = failure if est is None else (
-                    row.series, RunOutcome(kind="blew_up", T=row.t, t_max_estimate=est,
-                                           details=str(failure),
-                                           energy_drift=row.drift))
+                results[row.index] = (failure if est is None
+                                      else row.end("blew_up", str(failure), est))
             # the survivors step again from the same state
             keep = [r for r in range(len(rows)) if r not in failure.rows]
         else:
@@ -323,9 +336,9 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
                 row.drift += abs(e_now - row.e_prev - dt * diss)
                 if sampled:
                     row.record(row_terms, vus[r], vavs[r], w)
-                    outcome = row.check(row_terms)
-                    if outcome is not None:
-                        results[row.index] = (row.series, outcome)
+                    ended = row.check(row_terms)
+                    if ended is not None:
+                        results[row.index] = ended
                         continue
                 row.e_prev = e_now
                 keep.append(r)
@@ -335,8 +348,7 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
             if rows:
                 stepper = Stepper(domain, [params[row.index] for row in rows], cfg)
     for row in rows:
-        results[row.index] = (row.series, RunOutcome(kind="completed", T=row.t,
-                                                     energy_drift=row.drift))
+        results[row.index] = row.end("completed")
     return results
 
 

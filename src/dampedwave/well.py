@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,36 +34,34 @@ class InfeasibleTargetError(ValueError):
 class WellConstants:
     """Embedding constant, well depth, Nehari distance, Poincare constant.
 
-    `iterations` and `residual` record how C* was computed (see
-    `compute_c_star`); they are 0 for constants built from a given C*.
+    `d` and `beta` follow from C* and p.  `iterations` and `residual` record
+    how C* was computed (see `compute_c_star`); they are 0 for constants
+    built from a given C*.
     """
 
     c_star: float
-    d: float
-    beta: float
+    d: float = field(init=False)
+    beta: float = field(init=False)
     lambda1: float
     p: float
-    fingerprint: str
+    fingerprint: str = ""
     iterations: int = 0
     residual: float = 0.0
 
-    @classmethod
-    def from_c_star(cls, c_star: float, p: float, lambda1: float,
-                    fingerprint: str = "", iterations: int = 0,
-                    residual: float = 0.0) -> "WellConstants":
+    def __post_init__(self) -> None:
         # d and beta are defined by these identities; they hold exactly.
         # For p near 2, C*^(-2p/(p-2)) leaves the float range.
+        p = self.p
         try:
-            d = ((p - 2.0) / (2.0 * p)) * c_star ** (-2.0 * p / (p - 2.0))
+            d = ((p - 2.0) / (2.0 * p)) * self.c_star ** (-2.0 * p / (p - 2.0))
             beta = math.sqrt(2.0 * d * p / (p - 2.0))
         except OverflowError:
             d = beta = math.inf
         if not (0.0 < d < math.inf and beta < math.inf):
-            raise ValueError(f"p={p} and C*={c_star} give d={d} and beta={beta}, "
-                             "outside the float range")
-        return cls(c_star=c_star, d=d, beta=beta, lambda1=lambda1,
-                   p=p, fingerprint=fingerprint, iterations=iterations,
-                   residual=residual)
+            raise ValueError(f"p={p} and C*={self.c_star} give d={d} and "
+                             f"beta={beta}, outside the float range")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,8 @@ def well_constants(domain: Domain, p: float,
     """C*, d, beta and the discrete Poincare constant for one domain."""
     stats: dict = {}
     c_star, _ = compute_c_star(domain, p, opts, stats)
-    lambda1 = mesh.eigenvalue(domain)
-    return WellConstants.from_c_star(c_star, p, lambda1, domain.fingerprint(),
-                                     stats["iterations"], stats["residual"])
+    return WellConstants(c_star=c_star, lambda1=mesh.eigenvalue(domain), p=p,
+                         fingerprint=domain.fingerprint(), **stats)
 
 
 def nehari_scale(u: GridField, p: float) -> float:
@@ -170,7 +167,6 @@ class Classification:
     I: float
     J: float
     E: float
-    tol_I: float
 
 
 def admissibility_quantity(E: float, c_star: float, p: float) -> float:
@@ -196,7 +192,7 @@ def classify(state: SimState, params: ModelParams,
         in_U=(rep.J <= wc.d and category == "N_minus"),
         high_energy=(rep.E >= wc.d),
         smallness_holds=(admissibility_quantity(rep.E, wc.c_star, params.p) < 1.0),
-        I=rep.I, J=rep.J, E=rep.E, tol_I=tol_i,
+        I=rep.I, J=rep.J, E=rep.E,
     )
 
 

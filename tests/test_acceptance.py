@@ -212,7 +212,7 @@ def test_ac6_variational_constants(lbfgs_c_star):
     oracle = lbfgs_c_star(dom, p, [rng.standard_normal(dom.size)
                                    for _ in range(50)])
 
-    wc = well.WellConstants.from_c_star(c255, p, mesh.eigenvalue(dom))
+    wc = well.WellConstants(c_star=c255, p=p, lambda1=mesh.eigenvalue(dom))
     identity_d = abs(wc.d - (p - 2) / (2 * p) * c255 ** (-2 * p / (p - 2)))
     identity_beta = abs(wc.beta**2 - 2 * wc.d * p / (p - 2))
 

@@ -83,3 +83,19 @@ def test_missing_file_is_flagged(answers, pair, capsys):
     assert not cmp.same_kind
     assert answers.main(["diff", str(a), str(b)]) == 1
     assert "only in A: case/series.csv" in capsys.readouterr().out
+
+
+def test_run_fails_only_on_an_unexpected_exit_code(answers, tmp_path, monkeypatch,
+                                                    capsys):
+    cases = {case: (case, argv, code) for case, argv, code in answers.CASES}
+    chosen = [cases["run-bad-p"], cases["well-interval-p3"]]
+    monkeypatch.setattr(answers, "CASES", chosen)
+    assert answers.main(["run", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "run-bad-p" / "exit_code").read_text() == "1\n"
+    assert (tmp_path / "ok" / "well-interval-p3" / "well.json").exists()
+
+    case, argv, _ = chosen[1]
+    monkeypatch.setattr(answers, "CASES", [chosen[0], (case, argv, 2)])
+    capsys.readouterr()
+    assert answers.main(["run", str(tmp_path / "wrong")]) == 1
+    assert "well-interval-p3: exit 0, expected 2" in capsys.readouterr().out

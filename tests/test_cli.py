@@ -125,6 +125,34 @@ def test_non_finite_value_exits_1(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("settings", [
+    ["run.horizon=1e300"], ["run.horizon=1e12"], ["run.horizon=1e300", "step.dt=1e-10"],
+], ids=["2e302-steps", "2e14-steps", "infinite-steps"])
+def test_step_count_past_the_ceiling_exits_1(tmp_path, capsys, command, settings):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--set", "domain.n=15"]
+    for setting in settings:
+        argv += ["--set", setting]
+    if command == "sweep":
+        argv += ["--vary", "model.mu=0.5,1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.horizon and step.dt: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["well", "run", "classify"])
+def test_c_star_failure_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), "--set", "domain.n=15",
+                     "--set", "cstar.max_iter=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["well", "run", "classify", "sweep"])
 def test_missing_config_file_exits_1(tmp_path, capsys, command):
     out = tmp_path / "out"

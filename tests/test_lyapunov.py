@@ -7,7 +7,7 @@ import dampedwave as dw
 from dampedwave import lyapunov, well
 from dampedwave.series import TimeSeries
 
-WC_UNIT = well.WellConstants.from_c_star(1.0, 4.0, lambda1=1.0)
+WC_UNIT = well.WellConstants(c_star=1.0, p=4.0, lambda1=1.0)
 
 
 def field3(values):
@@ -95,7 +95,15 @@ class TestSelectConstants:
     def test_adversarial_epsilon_rejected(self):
         with pytest.raises(ValueError):
             lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5, epsilon=2.0,
-                                      beta1=-1.0, beta2=3.0, xi=1.0 / 3.0)
+                                      beta1=-1.0, beta2=3.0)
+
+    def test_xi_is_derived_from_the_chain(self):
+        cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5, epsilon=0.1,
+                                         beta1=0.9, beta2=1.1)
+        assert cert.xi == 0.5 * 0.1 / 1.1
+        with pytest.raises(TypeError):
+            lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5, epsilon=0.1,
+                                      beta1=0.9, beta2=1.1, xi=0.5)
 
 
 def synthetic_series(t, e, ell=None):
@@ -107,8 +115,7 @@ class TestCertifyDecay:
     def test_synthetic_exponential(self):
         t = np.linspace(0.0, 10.0, 500)
         cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
-                                         epsilon=0.5, beta1=0.5, beta2=0.5,
-                                         xi=0.5)
+                                         epsilon=0.5, beta1=0.5, beta2=0.5)
         done = dw.certify_decay(synthetic_series(t, np.exp(-t)), cert,
                                 tol_cert=1e-9)
         assert done.violated_at is None
@@ -119,8 +126,7 @@ class TestCertifyDecay:
         t = np.array([0.0, 1.0, 2.0])
         ell = np.array([1.0, 2.0, 0.1])
         cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
-                                         epsilon=0.5, beta1=0.5, beta2=0.5,
-                                         xi=0.5)
+                                         epsilon=0.5, beta1=0.5, beta2=0.5)
         done = dw.certify_decay(synthetic_series(t, np.exp(-t), ell), cert)
         assert done.violated_at == pytest.approx(1.0)
 
@@ -128,8 +134,7 @@ class TestCertifyDecay:
         t = np.array([0.0, 1.0, 2.0])
         e = np.array([1.0, -0.5, 0.2])
         cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
-                                         epsilon=0.5, beta1=0.5, beta2=0.5,
-                                         xi=0.5)
+                                         epsilon=0.5, beta1=0.5, beta2=0.5)
         with pytest.raises(lyapunov.SeriesDataError):
             dw.certify_decay(synthetic_series(t, e), cert)
 
@@ -139,8 +144,7 @@ class TestEquivalence:
         t = np.linspace(0, 1, 5)
         e = np.exp(-t)
         cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
-                                         epsilon=0.1, beta1=0.9, beta2=1.1,
-                                         xi=0.5 * 0.1 / 1.1)
+                                         epsilon=0.1, beta1=0.9, beta2=1.1)
         report = dw.equivalence_check(synthetic_series(t, e), cert)
         assert report.passed
         assert report.n_violations == 0
@@ -150,8 +154,7 @@ class TestEquivalence:
         e = np.array([1.0, 1.0])
         ell = np.array([1.0, 5.0])
         cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
-                                         epsilon=0.1, beta1=0.9, beta2=1.1,
-                                         xi=0.5 * 0.1 / 1.1)
+                                         epsilon=0.1, beta1=0.9, beta2=1.1)
         report = dw.equivalence_check(synthetic_series(t, e, ell), cert)
         assert not report.passed
         assert report.n_violations == 1

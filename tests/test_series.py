@@ -12,7 +12,7 @@ def _samples(k, rng):
 
 def test_append_past_capacity_keeps_every_row(rng):
     data = _samples(37, rng)
-    series = TimeSeries(3)
+    series = TimeSeries()
     for row in data:
         series.append(*row)
     assert len(series) == 37
@@ -22,7 +22,7 @@ def test_append_past_capacity_keeps_every_row(rng):
 
 def test_append_needs_one_value_per_column():
     with pytest.raises(ValueError):
-        TimeSeries(4).append(1.0)
+        TimeSeries().append(1.0)
 
 
 def test_col_returns_a_copy(rng):
@@ -53,7 +53,7 @@ def test_from_arrays_defaults_missing_columns_to_zero():
 
 def test_to_csv_bytes_match_hand_formatting(tmp_path, rng):
     data = _samples(6, rng)
-    series = TimeSeries(2)
+    series = TimeSeries()
     for row in data:
         series.append(*row)
     path = tmp_path / "series.csv"

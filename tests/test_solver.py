@@ -433,3 +433,17 @@ def test_stack_rows_must_share_p_and_domain(dom63):
         dw.run_many([rest, rest], [p3, p4], cfg, 0.1)
     with pytest.raises(ValueError, match="share a domain"):
         dw.run_many([rest, other], [p4, p4], cfg, 0.1)
+
+
+@pytest.mark.parametrize("horizon, dt", [(1e12, 5e-3), (1e300, 5e-3), (1e300, 1e-10)])
+def test_run_many_rejects_a_step_count_past_the_ceiling(dom63, horizon, dt):
+    """horizon/dt beyond MAX_STEPS, infinite at 1e300/1e-10, is a ValueError."""
+    rest = dw.SimState.rest(dw.GridField.zeros(dom63))
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    with pytest.raises(ValueError, match="ceiling"):
+        dw.run_many([rest], [params], dw.StepConfig(dt=dt), horizon)
+
+
+def test_step_count_allows_the_ceiling_and_takes_at_least_one_step():
+    assert solver.step_count(solver.MAX_STEPS * 0.5, 0.5) == solver.MAX_STEPS
+    assert solver.step_count(0.1, 1.0) == 1

@@ -59,9 +59,15 @@ class TestValidateExponent:
 
 class TestWellConstants:
     def test_plugin_identities(self):
-        wc = well.WellConstants.from_c_star(1.0, 4.0, lambda1=1.0)
+        wc = well.WellConstants(c_star=1.0, p=4.0, lambda1=1.0)
         assert wc.d == pytest.approx(0.25)
         assert wc.beta == pytest.approx(1.0)
+
+    def test_d_and_beta_are_derived_only(self):
+        with pytest.raises(TypeError):
+            well.WellConstants(c_star=1.0, p=4.0, lambda1=1.0, d=0.25)
+        with pytest.raises(ValueError, match="outside the float range"):
+            well.WellConstants(c_star=0.1, p=2.005, lambda1=1.0)
 
     def test_beta_squared_relation(self, wc63_p4):
         p = wc63_p4.p
@@ -179,21 +185,21 @@ class TestClassify:
     params = dw.ModelParams(omega=1.0, mu=1.0, p=4.0)
 
     def test_zero_in_n_plus(self, dom3, wc63_p4):
-        wc = well.WellConstants.from_c_star(1.0, 4.0, 1.0)
+        wc = well.WellConstants(c_star=1.0, p=4.0, lambda1=1.0)
         state = dw.SimState.rest(dw.GridField.zeros(dom3))
         cls = dw.classify(state, self.params, wc)
         assert cls.category == "N_plus"
         assert cls.in_W
 
     def test_hand_positive(self, dom3):
-        wc = well.WellConstants.from_c_star(1.0, 4.0, 1.0)
+        wc = well.WellConstants(c_star=1.0, p=4.0, lambda1=1.0)
         state = dw.SimState.rest(dw.GridField(dom3, [1, 1, 1]))
         cls = dw.classify(state, self.params, wc)
         assert cls.category == "N_plus"
         assert cls.I == pytest.approx(7.25)
 
     def test_scaled_past_manifold_negative(self, dom3):
-        wc = well.WellConstants.from_c_star(1.0, 4.0, 1.0)
+        wc = well.WellConstants(c_star=1.0, p=4.0, lambda1=1.0)
         lam = 2 * math.sqrt(8 / 0.75)
         state = dw.SimState.rest(dw.GridField(dom3, lam * np.ones(3)))
         assert dw.classify(state, self.params, wc).category == "N_minus"

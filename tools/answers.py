@@ -5,7 +5,8 @@
 
 `run` runs each case of CASES as `python -m dampedwave.cli ... --out .` in
 its own directory OUT/<case>, and keeps the command's standard output, error
-output and exit code there beside the files it writes.  `--src` is the
+output and exit code there beside the files it writes.  It exits 1 when a
+case's exit code is not the one CASES expects, else 0.  `--src` is the
 package source to run, by default this checkout's `src/`; pointing it at
 another checkout gives that checkout's answers to compare against.
 
@@ -42,48 +43,55 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EXIT_FILE = "exit_code"
 
-# (case, argv of the dampedwave CLI); each runs in OUT/<case>, in this order
+# (case, argv of the dampedwave CLI, expected exit code); each runs in
+# OUT/<case>, in this order
 CASES = [
     ("cli-sweep", ["sweep", "--set", "domain.n=63", "--set", "step.dt=0.005",
                    "--set", "run.horizon=10",
                    "--vary", "init.kind=stable,unstable",
-                   "--vary", "init.fraction=0.5,0.9", "--vary", "model.omega=0,0.1"]),
+                   "--vary", "init.fraction=0.5,0.9", "--vary", "model.omega=0,0.1"],
+     0),
     ("readme-sweep-decay", ["sweep", "--set", "step.dt=0.005",
                             "--set", "run.horizon=20", "--vary", "model.p=3,4",
-                            "--vary", "model.omega=0,0.1,1", "--vary", "model.mu=0,1"]),
+                            "--vary", "model.omega=0,0.1,1", "--vary", "model.mu=0,1"],
+     0),
     ("readme-sweep-levels", ["sweep", "--set", "model.omega=0",
                              "--set", "step.dt=0.002", "--set", "run.horizon=30",
                              "--vary", "init.kind=stable,unstable",
-                             "--vary", "init.fraction=0.1,0.3,0.5,0.7,0.9"]),
+                             "--vary", "init.fraction=0.1,0.3,0.5,0.7,0.9"], 0),
     ("rectangle-sweep", ["sweep", "--set", "domain.kind=rectangle",
                          "--set", "domain.extents=1.5,1.0", "--set", "domain.n=23,15",
                          "--set", "run.horizon=5", "--vary", "model.omega=0,0.1",
-                         "--vary", "init.kind=stable,unstable"]),
-    ("run-blowup", ["run", "--set", "init.kind=unstable", "--set", "model.omega=0"]),
-    ("run-zero", ["run", "--set", "init.kind=zero", "--set", "run.horizon=1"]),
-    *((f"well-{name}-p{p}", ["well", *domain, "--set", f"model.p={p}"])
+                         "--vary", "init.kind=stable,unstable"], 0),
+    ("run-blowup", ["run", "--set", "init.kind=unstable", "--set", "model.omega=0"],
+     0),
+    ("run-zero", ["run", "--set", "init.kind=zero", "--set", "run.horizon=1"], 0),
+    *((f"well-{name}-p{p}", ["well", *domain, "--set", f"model.p={p}"], 0)
       for name, domain in (
           ("interval", []),
           ("rectangle", ["--set", "domain.kind=rectangle",
                          "--set", "domain.extents=1.5,1.0", "--set", "domain.n=47,31"]))
       for p in (3, 4, 6)),
     ("classify-file", ["classify", "--set", "init.kind=file",
-                       "--set", "init.file=../run-blowup/u0.txt"]),
+                       "--set", "init.file=../run-blowup/u0.txt"], 0),
     ("sweep-error-row", ["sweep", "--set", "domain.n=31", "--set", "step.dt=0.01",
                          "--set", "run.horizon=0.5",
                          "--vary", "init.kind=stable,unstable",
-                         "--vary", "init.fraction=0.5,1.5"]),
-    ("run-bad-p", ["run", "--set", "model.p=2.0"]),  # exit code and stderr
+                         "--vary", "init.fraction=0.5,1.5"], 0),
+    # exit code and stderr only
+    ("run-bad-p", ["run", "--set", "model.p=2.0"], 1),
+    ("run-step-ceiling", ["run", "--set", "run.horizon=1e12"], 1),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
 
 
 def run_cases(out: Path, src: Path) -> int:
-    """Run every case into out/<case>; returns how many exited non-zero."""
+    """Run every case into out/<case>; returns how many exited with a code
+    other than the expected one."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     failed = 0
-    for case, argv in CASES:
+    for case, argv, expected in CASES:
         cwd = out / case
         cwd.mkdir(parents=True, exist_ok=False)
         proc = subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv,
@@ -92,8 +100,9 @@ def run_cases(out: Path, src: Path) -> int:
         (cwd / "stdout.txt").write_text(proc.stdout)
         (cwd / "stderr.txt").write_text(proc.stderr)
         (cwd / EXIT_FILE).write_text(f"{proc.returncode}\n")
-        failed += proc.returncode != 0
-        print(f"{case}: exit {proc.returncode}")
+        failed += proc.returncode != expected
+        print(f"{case}: exit {proc.returncode}"
+              + ("" if proc.returncode == expected else f", expected {expected}"))
     return failed
 
 
