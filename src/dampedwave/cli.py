@@ -185,19 +185,17 @@ class _Prepared:
 
 
 def _prepare(exp: Experiment, outdir: Path, constants: dict) -> _Prepared:
-    """Constants, initial data (written to u0.txt), classification, monitors.
+    """Constants, initial data, classification, certificate, monitors.
 
     `constants` maps (domain, p, opts) to the `_well_report` of an earlier
-    point, and receives this point's.  The directory is made just before
-    u0.txt, so a point that fails before that leaves none behind.
+    point, and receives this point's.  The directory and its u0.txt are
+    written last, so a point that fails leaves none behind.
     """
     key = (exp.domain, exp.params.p, exp.opts)
     if key not in constants:
         constants[key] = _well_report(exp)
     wc, well_report = constants[key]
     initial = _initial_state(exp, wc)
-    outdir.mkdir(parents=True, exist_ok=True)
-    mesh.write_field(outdir / "u0.txt", initial.u)
     cls = well.classify(initial, exp.params, wc)
     e0 = cls.E
 
@@ -209,6 +207,8 @@ def _prepare(exp: Experiment, outdir: Path, constants: dict) -> _Prepared:
                                      grad_bound=True, energy_monotone=True)
     report = {"config": exp.config, "well": well_report,
               "classification": asdict(cls), "E0": e0}
+    outdir.mkdir(parents=True, exist_ok=True)
+    mesh.write_field(outdir / "u0.txt", initial.u)
     return _Prepared(exp, outdir, report, initial, cert, monitors)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 _KIND_DIMS = {"interval": 1, "rectangle": 2}
 
 FIELD_HEADER_PREFIX = "# dampedwave-field v1 "
+MAX_AXIS_NODES = 4095  # per axis; the axis's dense DST-I matrix takes 128 MiB
 
 
 class DomainMismatchError(ValueError):
@@ -47,8 +48,9 @@ class Domain:
             raise ValueError(f"{self.kind} needs {dim} extent(s) and node count(s)")
         if not all(0.0 < e < math.inf for e in extents):
             raise ValueError("extents must be positive and finite")
-        if any(m < 2 for m in counts):
-            raise ValueError("need at least 2 interior nodes per axis")
+        if not all(2 <= m <= MAX_AXIS_NODES for m in counts):
+            raise ValueError(f"need 2 to {MAX_AXIS_NODES} interior nodes per axis, "
+                             f"got {counts}")
         if not all(0.0 < h * h and 0.0 < 1.0 / (h * h) < math.inf for h in self.h):
             raise ValueError("extents give a grid spacing h with 1/h^2 outside "
                              "the float range")

@@ -37,10 +37,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return self._n
 
-    def divergence_norm(self) -> np.ndarray:
-        """||grad u||_2 + ||u_t||_2 per sample (the blow-up quantity)."""
-        return np.sqrt(self.col("grad_sq")) + np.sqrt(self.col("l2_v"))
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(COLUMNS) + "\n")

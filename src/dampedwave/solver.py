@@ -364,7 +364,7 @@ def run(initial: SimState, params: ModelParams, cfg: StepConfig, horizon: float,
     return result
 
 
-def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float:
+def _pole_fit(t: np.ndarray, y: np.ndarray) -> float:
     """Fit y ~ C (T - t)^(-alpha) by golden-section search over T; returns T.
 
     The misfit of each T is the residual of the least-squares line through
@@ -380,8 +380,9 @@ def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float:
         return float(r @ r)
 
     t_end = t[-1]
-    lo = t_end + 1e-9 * max(horizon_span, 1.0)
-    hi = t_end + 10.0 * max(horizon_span, 1e-6)
+    span = t_end - t[0]
+    lo = t_end + 1e-9 * max(span, 1.0)
+    hi = t_end + 10.0 * max(span, 1e-6)
     tol = POLE_RTOL * max(abs(lo), abs(hi))
     c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
     fc, fd = misfit(c), misfit(d)
@@ -397,36 +398,27 @@ def _pole_fit(t: np.ndarray, y: np.ndarray, horizon_span: float) -> float:
     return float(c if fc < fd else d)
 
 
-def detect_blowup(series: TimeSeries,
-                  norm_threshold: float = BLOWUP_NORM_THRESHOLD,
-                  step_failed: bool = False) -> float | None:
+def detect_blowup(series: TimeSeries, step_failed: bool = False) -> float | None:
     """Blow-up time estimate, or None when the series shows no divergence.
 
-    Fires on a threshold crossing of ||grad u|| + ||u_t||, or on a step
-    failure that coincides with growth over the trailing window.  The
-    estimate extrapolates a power-law pole through the final samples.
+    Decides at the last sample, on the divergence norm ||grad u|| + ||u_t||:
+    it fires when that sample is past BLOWUP_NORM_THRESHOLD, or, after a
+    failed step, when the norm grew over the trailing GROWTH_WINDOW samples.
+    The estimate extrapolates a power-law pole through the last FIT_SAMPLES
+    samples.
     """
     if len(series) == 0:
         raise ValueError("empty series")
     t = series.col("t")
-    y = series.divergence_norm()
-    crossed = y > norm_threshold
-    fired_at = None
-    if crossed.any():
-        fired_at = int(np.argmax(crossed))
-    elif step_failed and len(y) >= 2:
-        w = min(GROWTH_WINDOW, len(y) - 1)
-        if y[-1] > y[-1 - w]:
-            fired_at = len(y) - 1
-    if fired_at is None:
+    y = np.sqrt(series.col("grad_sq")) + np.sqrt(series.col("l2_v"))
+    w = min(GROWTH_WINDOW, len(y) - 1)
+    if not (y[-1] > BLOWUP_NORM_THRESHOLD or step_failed and y[-1] > y[-1 - w]):
         return None
-
-    m = min(FIT_SAMPLES, fired_at + 1)
-    tt, yy = t[fired_at - m + 1:fired_at + 1], y[fired_at - m + 1:fired_at + 1]
+    tt, yy = t[-FIT_SAMPLES:], y[-FIT_SAMPLES:]
     keep = yy > 0
     tt, yy = tt[keep], yy[keep]
     if len(tt) >= 3 and tt[-1] > tt[0]:
-        est = _pole_fit(tt, yy, tt[-1] - tt[0])
+        est = _pole_fit(tt, yy)
         if math.isfinite(est):
             return est
-    return float(t[fired_at])
+    return float(t[-1])

@@ -17,6 +17,8 @@ from . import mesh
 from .functionals import ModelParams, SimState, total_energy
 from .mesh import Domain, GridField
 
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 class ConvergenceError(RuntimeError):
     """The C* iteration did not reach the gradient tolerance."""
@@ -173,7 +175,12 @@ def admissibility_quantity(E: float, c_star: float, p: float) -> float:
     """C*^p (2p/(p-2) E)^((p-2)/2); < 1 is the smallness condition on E(0)."""
     if E <= 0.0:
         return 0.0
-    return c_star**p * ((2.0 * p / (p - 2.0)) * E) ** ((p - 2.0) / 2.0)
+    try:
+        return c_star**p * ((2.0 * p / (p - 2.0)) * E) ** ((p - 2.0) / 2.0)
+    except OverflowError:  # large p: from the logarithm, inf past the float range
+        log_k = (p * math.log(c_star)
+                 + 0.5 * (p - 2.0) * math.log((2.0 * p / (p - 2.0)) * E))
+        return math.exp(log_k) if log_k < LOG_FLOAT_MAX else math.inf
 
 
 def classify(state: SimState, params: ModelParams,
@@ -206,47 +213,44 @@ def prepare_initial_data(domain: Domain, params: ModelParams, wc: WellConstants,
     J(u0) = f*d.  u1 is identically zero in both cases.
     """
     kind, fraction = target
-    phi = mesh.eigenmode(domain)
-    g = mesh.grad_norm_sq(phi)
-    pw = mesh.lp_norm_p(phi, params.p)
-    p = params.p
-    lam_star = (g / pw) ** (1.0 / (p - 2.0))
-
-    def j_of(s: float) -> float:
-        return 0.5 * s * s * g - s**p * pw / p
-
-    j_max = j_of(lam_star)
-    target_j = fraction * wc.d
     if kind == "stable":
         if not 0.0 < fraction < 1.0:
             raise ValueError("stable target needs 0 < fraction < 1")
-        if target_j >= j_max:
-            raise InfeasibleTargetError(
-                f"target energy {target_j} above peak {j_max} of this shape")
-        lo, hi = 0.0, lam_star
-        increasing = True
     elif kind == "unstable":
         if fraction <= 0.0:
             raise ValueError("unstable target needs fraction > 0")
-        if target_j >= j_max:
-            raise InfeasibleTargetError(
-                f"target J-level {target_j} above peak {j_max} of this shape")
-        hi = 2.0 * lam_star
-        while j_of(hi) > target_j:
-            hi *= 2.0
-        lo = lam_star
-        increasing = False
     else:
         raise ValueError(f"unknown target kind {kind!r}")
+    p = params.p
+    phi = mesh.eigenmode(domain)
+    g = mesh.grad_norm_sq(phi)
+    pw = mesh.lp_norm_p(phi, p)
+    lam_star = nehari_scale(phi, p)
 
+    def j_of(s: float) -> float:
+        try:
+            return 0.5 * s * s * g - s**p * pw / p
+        except OverflowError:  # s^p past the float range (large p)
+            return -math.inf
+
+    j_max = j_of(lam_star)
+    target_j = fraction * wc.d
+    if target_j >= j_max:
+        level = "energy" if kind == "stable" else "J-level"
+        raise InfeasibleTargetError(
+            f"target {level} {target_j} above peak {j_max} of this shape")
+    rising = kind == "stable"  # J rises on [0, lam_star] and falls past it
+    lo, hi = (0.0, lam_star) if rising else (lam_star, 2.0 * lam_star)
+    while not rising and j_of(hi) > target_j:
+        hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (j_of(mid) < target_j) == increasing:
+        if mid == lo or mid == hi:  # no float left between the ends
+            break
+        if (j_of(mid) < target_j) == rising:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
     s = 0.5 * (lo + hi)
     u0 = GridField(domain, s * phi.values)
     return u0, GridField.zeros(domain)

@@ -143,6 +143,53 @@ def test_step_count_past_the_ceiling_exits_1(tmp_path, capsys, command, settings
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["well", "run", "classify", "sweep"])
+def test_node_count_past_the_ceiling_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out),
+            "--set", f"domain.n={mesh.MAX_AXIS_NODES + 1}"]
+    if command == "sweep":
+        argv += ["--vary", "model.mu=0.5,1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: need 2 to ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_large_exponent_runs(tmp_path, capsys):
+    """Large p leaves the float range in the smallness quantity; runs go on."""
+    assert cli.main(["run", "--out", str(tmp_path / "run"), *FAST,
+                     "--set", "model.p=3000"]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["classification"]["smallness_holds"]
+    assert report["outcome"]["kind"] == "completed"
+    assert cli.main(["classify", *FAST, "--set", "model.p=3000"]) == 0
+    assert cli.main(["sweep", "--out", str(tmp_path / "sweep"), *FAST,
+                     "--vary", "model.p=4,3000"]) == 0
+    rows = _sweep_rows(tmp_path / "sweep")
+    assert [row["outcome"] for row in rows] == ["completed", "completed"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_failed_preparation_leaves_no_files(tmp_path, capsys):
+    """mu = 1e300 underflows the certificate's epsilon to 0: the point fails
+    after its data are built, and before anything is written."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "--out", str(out), *FAST,
+                     "--set", "model.mu=1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err == "validation error: certificate constant epsilon must be positive\n"
+    assert not out.exists()
+    assert cli.main(["sweep", "--out", str(tmp_path), *FAST,
+                     "--vary", "model.mu=1,1e300"]) == 0
+    good, bad = _sweep_rows(tmp_path)
+    assert good["outcome"] == "completed"
+    assert bad["outcome"] == "error" and "epsilon" in bad["error"]
+    assert (tmp_path / "point_0000" / "report.json").exists()
+    assert not (tmp_path / "point_0001").exists()
+
+
 @pytest.mark.parametrize("command", ["well", "run", "classify"])
 def test_c_star_failure_exits_2(tmp_path, capsys, command):
     out = tmp_path / "out"

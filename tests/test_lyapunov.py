@@ -130,6 +130,29 @@ class TestCertifyDecay:
         done = dw.certify_decay(synthetic_series(t, np.exp(-t), ell), cert)
         assert done.violated_at == pytest.approx(1.0)
 
+    def test_first_violation_matches_the_sample_loop(self, rng):
+        """The array test finds the sample that a loop over samples finds."""
+        cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
+                                         epsilon=0.5, beta1=0.5, beta2=0.5)
+        tol = 1e-6
+
+        def by_loop(t, ell):
+            for k in range(len(t) - 1):
+                bound = ell[k] * math.exp(-cert.xi * (t[k + 1] - t[k])) * (1.0 + tol)
+                if ell[k + 1] > bound:
+                    return float(t[k + 1])
+            return None
+
+        for trial in range(20):
+            t = np.cumsum(rng.uniform(1e-3, 1e-2, 300))
+            ell = np.exp(-0.6 * t)
+            if trial % 4:
+                ell[rng.integers(1, 300, size=trial % 4)] *= 1.01
+            series = synthetic_series(t, ell)
+            want = by_loop(t, ell)
+            assert (want is None) == (trial % 4 == 0)
+            assert dw.certify_decay(series, cert, tol).violated_at == want
+
     def test_nonpositive_energy_rejected(self):
         t = np.array([0.0, 1.0, 2.0])
         e = np.array([1.0, -0.5, 0.2])

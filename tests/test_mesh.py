@@ -48,6 +48,16 @@ class TestDomain:
         with pytest.raises(ValueError):
             dw.Domain(**kwargs)
 
+    @pytest.mark.parametrize("n", [(mesh.MAX_AXIS_NODES + 1,),
+                                   (3, mesh.MAX_AXIS_NODES + 1)])
+    def test_node_ceiling(self, n):
+        """One node past the ceiling fails before anything is allocated."""
+        ceiling = tuple(min(m, mesh.MAX_AXIS_NODES) for m in n)
+        kind = "interval" if len(n) == 1 else "rectangle"
+        assert dw.Domain(kind, (1.0,) * len(n), ceiling).n == ceiling
+        with pytest.raises(ValueError, match=f"2 to {mesh.MAX_AXIS_NODES} interior"):
+            dw.Domain(kind, (1.0,) * len(n), n)
+
     def test_fingerprint_roundtrip(self):
         dom = dw.rectangle((1.0, 0.75), (5, 9))
         assert mesh.Domain.from_fingerprint(dom.fingerprint()) == dom
@@ -209,6 +219,14 @@ class TestFieldIO:
         back = mesh.read_field(path)
         assert back.domain == dom
         np.testing.assert_array_equal(back.values, u.values)
+
+    def test_rejects_a_domain_past_the_node_ceiling(self, tmp_path):
+        path = tmp_path / "field.txt"
+        n = mesh.MAX_AXIS_NODES + 1
+        path.write_text(f"{mesh.FIELD_HEADER_PREFIX}interval:1.0:{n}\n"
+                        + "0\n" * n)
+        with pytest.raises(ValueError, match="interior nodes per axis"):
+            mesh.read_field(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

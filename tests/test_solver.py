@@ -211,6 +211,20 @@ def test_unstable_run_blows_up(dom63, wc63_p4):
     assert outcome.t_max_estimate < 50.0
 
 
+def test_unstable_run_ends_on_the_threshold(dom63, wc63_p4):
+    """The AC-5 data at dt=2.5e-4 reach BLOWUP_NORM_THRESHOLD before a step
+    fails, so the run ends on the threshold, deciding at its last sample."""
+    params = dw.ModelParams(omega=0.0, mu=1.0, p=4.0)
+    u0, u1 = dw.prepare_initial_data(dom63, params, wc63_p4, ("unstable", 0.9))
+    series, outcome = dw.run(dw.SimState(0.0, u0, u1), params,
+                             dw.StepConfig(dt=2.5e-4), 1.0)
+    assert outcome.kind == "blew_up"
+    assert outcome.details == "divergence norm 1.441e+06 crossed threshold"
+    assert outcome.T == pytest.approx(0.64675, rel=1e-12)
+    assert outcome.t_max_estimate == pytest.approx(0.64705, abs=1e-5)
+    assert dw.detect_blowup(series) == outcome.t_max_estimate
+
+
 def test_2d_run_dissipates(rng):
     dom = dw.rectangle((1.0, 1.0), (15, 15))
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
@@ -236,22 +250,42 @@ class TestDetectBlowup:
                                         l2_v=np.zeros_like(y))
         assert dw.detect_blowup(series) is not None
 
+    @staticmethod
+    def crossing(t, y, first):
+        """The samples of y up to `first`, scaled to pass the blow-up threshold
+        first there; the pole fit does not see the scale."""
+        y = y[:first + 1] * (solver.BLOWUP_NORM_THRESHOLD
+                             / math.sqrt(y[first - 1] * y[first]))
+        assert y[first - 1] <= solver.BLOWUP_NORM_THRESHOLD < y[first]
+        return TimeSeries.from_arrays(t=t[:first + 1], grad_sq=y**2,
+                                      l2_v=np.zeros_like(y))
+
     def test_pole_fit_estimate(self):
         t = np.linspace(0.0, 0.99, 200)
         y = 1.0 / (1.0 - t)
-        series = TimeSeries.from_arrays(t=t, grad_sq=y**2,
-                                        l2_v=np.zeros_like(y))
-        est = dw.detect_blowup(series, norm_threshold=50.0)
+        est = dw.detect_blowup(self.crossing(t, y, int(np.argmax(y > 50.0))))
         assert est == pytest.approx(1.0, abs=0.05)
 
     @pytest.mark.parametrize("T, alpha", [(1.0, 1.0), (0.645, 2.0), (2.03, 3.0)])
     def test_pole_fit_recovers_exact_pole(self, T, alpha):
         t = np.linspace(0.0, 0.99 * T, 200)
         y = (T - t) ** -alpha
-        series = TimeSeries.from_arrays(t=t, grad_sq=y**2,
-                                        l2_v=np.zeros_like(y))
-        est = dw.detect_blowup(series, norm_threshold=y[-20])
+        est = dw.detect_blowup(self.crossing(t, y, len(y) - 19))
         assert abs(est - T) <= 1e-8 * T
+
+    def test_decides_at_the_last_sample(self):
+        t = np.linspace(0.0, 0.99, 200)
+        y = 1.0 / (1.0 - t)
+        series = self.crossing(t, y, 150)
+        assert dw.detect_blowup(series) is not None
+        before = TimeSeries.from_arrays(**{name: series.col(name)[:-1]
+                                           for name in COLUMNS})
+        assert dw.detect_blowup(before) is None
+        # past the threshold at an earlier sample but not at the last: no call
+        row = [before.col(name)[-1] for name in COLUMNS]
+        row[0] = 1.0
+        series.append(*row)
+        assert dw.detect_blowup(series) is None
 
     def test_step_failure_with_growth(self):
         t = np.arange(20.0)

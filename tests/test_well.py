@@ -240,12 +240,67 @@ class TestPrepareInitialData:
         assert cls.J <= wc63_p4.d
         assert cls.in_U
 
+    @pytest.mark.parametrize("kind, fraction", [
+        ("stable", 1e-6), ("stable", 0.5), ("stable", 0.999999),
+        ("unstable", 1e-6), ("unstable", 0.5), ("unstable", 0.999999)])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    def test_scale_matches_a_full_bisection(self, dom63, kind, fraction, p):
+        """Stopping once the bracket holds no float between its ends gives the
+        scale that all 200 bisection steps give."""
+        wc = dw.well_constants(dom63, p)
+        phi = mesh.eigenmode(dom63)
+        g, pw = mesh.grad_norm_sq(phi), mesh.lp_norm_p(phi, p)
+        lam = dw.nehari_scale(phi, p)
+        target = fraction * wc.d
+        rising = kind == "stable"
+
+        def j_of(s):
+            return 0.5 * s * s * g - s**p * pw / p
+
+        lo, hi = (0.0, lam) if rising else (lam, 2.0 * lam)
+        while not rising and j_of(hi) > target:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (j_of(mid) < target) == rising:
+                lo = mid
+            else:
+                hi = mid
+        u0, _ = dw.prepare_initial_data(dom63, dw.ModelParams(omega=0.1, mu=1.0, p=p),
+                                        wc, (kind, fraction))
+        assert u0.values.tobytes() == (0.5 * (lo + hi) * phi.values).tobytes()
+
+    @pytest.mark.parametrize("p", [1500, 3000])
+    def test_unstable_target_at_large_exponent(self, p):
+        """Past the Nehari scale s^p leaves the float range; the data still
+        land past the manifold at the asked J-level."""
+        dom = dw.interval(1.0, 31)
+        params = dw.ModelParams(omega=0.0, mu=1.0, p=p)
+        wc = dw.well_constants(dom, p)
+        u0, u1 = dw.prepare_initial_data(dom, params, wc, ("unstable", 0.5))
+        cls = dw.classify(dw.SimState(0.0, u0, u1), params, wc)
+        assert cls.category == "N_minus" and cls.in_U
+        assert cls.J == pytest.approx(0.5 * wc.d, rel=1e-9)
+
     def test_infeasible_fraction(self, dom63, wc63_p4):
         with pytest.raises(ValueError):
             dw.prepare_initial_data(dom63, self.params, wc63_p4, ("stable", 1.5))
         with pytest.raises(well.InfeasibleTargetError):
             dw.prepare_initial_data(dom63, self.params, wc63_p4,
                                     ("unstable", 50.0))
+
+
+def test_admissibility_quantity_past_the_float_range():
+    """Where C*^p or the energy factor overflows, the value comes from its
+    logarithm: inf above the float range, 0 below it, finite in between."""
+    p = 3000.0
+    assert well.admissibility_quantity(1.0, 2.0, p) == math.inf
+    assert well.admissibility_quantity(1.0, 0.5, p) == 0.0
+    # C*^p overflows, but the product is 1
+    e = 1.5 ** (-p / (0.5 * (p - 2.0))) * (p - 2.0) / (2.0 * p)
+    assert well.admissibility_quantity(e, 1.5, p) == pytest.approx(1.0, rel=1e-10)
+    # where the expression is finite, it is the value
+    assert well.admissibility_quantity(0.3, 1.2, 4.0) == 1.2**4 * (4.0 * 0.3) ** 1.0
 
 
 def test_smallness_equivalent_to_subcritical_energy(dom63, wc63_p4, rng):

@@ -65,6 +65,11 @@ CASES = [
                          "--vary", "init.kind=stable,unstable"], 0),
     ("run-blowup", ["run", "--set", "init.kind=unstable", "--set", "model.omega=0"],
      0),
+    # ends on BLOWUP_NORM_THRESHOLD rather than on a failed step
+    ("run-blowup-threshold", ["run", "--set", "init.kind=unstable",
+                              "--set", "init.fraction=0.9", "--set", "model.omega=0",
+                              "--set", "step.dt=2.5e-4", "--set", "run.horizon=1"], 0),
+    ("run-large-p", ["run", "--set", "model.p=3000"], 0),
     ("run-zero", ["run", "--set", "init.kind=zero", "--set", "run.horizon=1"], 0),
     *((f"well-{name}-p{p}", ["well", *domain, "--set", f"model.p={p}"], 0)
       for name, domain in (
@@ -81,6 +86,8 @@ CASES = [
     # exit code and stderr only
     ("run-bad-p", ["run", "--set", "model.p=2.0"], 1),
     ("run-step-ceiling", ["run", "--set", "run.horizon=1e12"], 1),
+    ("run-huge-mu", ["run", "--set", "model.mu=1e300"], 1),
+    ("well-node-ceiling", ["well", "--set", "domain.n=4096"], 1),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
