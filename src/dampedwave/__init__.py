@@ -1,9 +1,8 @@
 """Numerical laboratory for the strongly damped semilinear wave equation."""
 
-from .functionals import (EnergyReport, ModelParams, SimState, dissipation_rate,
-                          functional_I, functional_J, total_energy)
+from .functionals import EnergyReport, ModelParams, SimState, total_energy
 from .lyapunov import (DecayCertificate, certify_decay, equivalence_check,
-                       lyapunov_L, select_constants)
+                       select_constants)
 from .mesh import Domain, GridField, interval, rectangle
 from .series import TimeSeries
 from .solver import (MonitorSet, RunOutcome, StepConfig, Stepper, detect_blowup,
@@ -16,9 +15,8 @@ __all__ = [
     "Classification", "DecayCertificate", "Domain", "EnergyReport", "GridField",
     "MinimizeOpts", "ModelParams", "MonitorSet", "RunOutcome", "SimState",
     "StepConfig", "Stepper", "TimeSeries", "WellConstants", "certify_decay",
-    "classify", "compute_c_star", "detect_blowup", "dissipation_rate",
-    "equivalence_check", "functional_I", "functional_J", "interval",
-    "lyapunov_L", "nehari_scale", "prepare_initial_data", "rectangle", "run",
+    "classify", "compute_c_star", "detect_blowup", "equivalence_check",
+    "interval", "nehari_scale", "prepare_initial_data", "rectangle", "run",
     "run_many", "select_constants", "total_energy", "well_constants",
 ]
 

@@ -1,4 +1,10 @@
-"""Energy machinery: the functionals I, J, E and the dissipation identity."""
+"""Energy machinery: model parameters, states and the functionals I, J, E.
+
+`energy_terms` is the one place that evaluates I, J and E, for a stack of
+rows; `total_energy` applies it to one state.  The dissipation
+-omega ||grad u_t||^2 - mu ||u_t||^2 of the energy identity is evaluated
+at each step's midpoint by `solver.Stepper.advance`.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (CorruptFieldError, GridField, grad_norm_sq, l2_norm_sq,
-                   lp_norm_p, row_dots, stiffness)
+from .mesh import CorruptFieldError, GridField, row_dots, stiffness
 
 
 @dataclass(frozen=True)
@@ -62,16 +67,6 @@ class EnergyReport:
     lp_p: float
 
 
-def functional_I(u: GridField, params: ModelParams) -> float:
-    """I(u) = ||grad u||_2^2 - ||u||_p^p."""
-    return grad_norm_sq(u) - lp_norm_p(u, params.p)
-
-
-def functional_J(u: GridField, params: ModelParams) -> float:
-    """J(u) = 1/2 ||grad u||_2^2 - 1/p ||u||_p^p."""
-    return 0.5 * grad_norm_sq(u) - lp_norm_p(u, params.p) / params.p
-
-
 def energy_terms(u: np.ndarray, au: np.ndarray, v: np.ndarray, w: float,
                  p: float) -> list[tuple[float, ...]]:
     """(E, I, J, kinetic, grad_sq, lp_p, l2_v) for each row of (K, n) node values.
@@ -98,15 +93,10 @@ def energy_terms(u: np.ndarray, au: np.ndarray, v: np.ndarray, w: float,
 
 
 def total_energy(state: SimState, params: ModelParams) -> EnergyReport:
-    """E = J + kinetic energy, with cached constituent norms."""
+    """I, J and E = J + kinetic energy of one state, with their norms."""
     domain = state.u.domain
     u = state.u.values[None]
     ((E, I, J, kinetic, grad_sq, lp_p, _),) = energy_terms(
         u, stiffness(domain)(u), state.v.values[None], domain.weight, params.p)
     return EnergyReport(t=state.t, I=I, J=J, E=E, kinetic=kinetic,
                         grad_sq=grad_sq, lp_p=lp_p)
-
-
-def dissipation_rate(state: SimState, params: ModelParams) -> float:
-    """dE/dt = -omega ||grad u_t||_2^2 - mu ||u_t||_2^2 (always <= 0)."""
-    return -params.omega * grad_norm_sq(state.v) - params.mu * l2_norm_sq(state.v)

@@ -1,9 +1,10 @@
 """Exponential-decay certification via the perturbed-energy Lyapunov function.
 
-Builds L = E + eps*<u_t, u> + (eps*omega/2)*||grad u||^2, selects the
-constant chain delta -> eta -> M -> eps -> (beta1, beta2) -> xi from the
-admissibility margin, and checks dL/dt <= -xi L discretely along computed
-trajectories.
+The run loop records L = E + eps*<u_t, u> + (eps*omega/2)*||grad u||^2 in
+the series' L column (`solver._Row.record`, with eps = `MonitorSet.epsilon`).
+This module selects the constant chain delta -> eta -> M -> eps ->
+(beta1, beta2) -> xi from the admissibility margin, and checks
+dL/dt <= -xi L discretely on that column.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .functionals import ModelParams, SimState, total_energy
-from .mesh import grad_norm_sq, inner
+from .functionals import ModelParams
 from .series import TimeSeries
 from .well import WellConstants, admissibility_quantity
 
@@ -55,17 +55,6 @@ class DecayCertificate:
         if not 0.0 < self.beta1 <= self.beta2:
             raise ValueError("need 0 < beta1 <= beta2 (epsilon too large?)")
         object.__setattr__(self, "xi", self.M * self.epsilon / self.beta2)
-
-
-def lyapunov_L(state: SimState, params: ModelParams, epsilon: float) -> float:
-    """L = E + eps*<u_t, u> + (eps*omega/2)*||grad u||^2; omega term drops at 0."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    e = total_energy(state, params).E
-    val = e + epsilon * inner(state.v, state.u)
-    if params.omega > 0:
-        val += 0.5 * epsilon * params.omega * grad_norm_sq(state.u)
-    return val
 
 
 def select_constants(E0: float, params: ModelParams,

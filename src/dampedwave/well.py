@@ -18,10 +18,12 @@ from .functionals import ModelParams, SimState, total_energy
 from .mesh import Domain, GridField
 
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# C* float fixed point: the max-normalized iterate moved by at most 4 ulps of 1
+FIXED_POINT_MOVE = 4.0 * np.finfo(float).eps
 
 
 class ConvergenceError(RuntimeError):
-    """The C* iteration did not reach the gradient tolerance."""
+    """The C* iteration reached neither the gradient tolerance nor a fixed point."""
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)
@@ -97,7 +99,10 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
     that of the ground state, about lambda1^(1/(p-2)) and beyond the float
     range for p near 2.  Each iterate is therefore rescaled to max|u| = 1,
     which leaves the sequence of shapes unchanged.  The iteration stops when
-    the relative gradient ||grad R|| ||u|| / R falls below `opts.grad_tol`.
+    the relative gradient ||grad R|| ||u|| / R falls below `opts.grad_tol`,
+    or at a float fixed point, when the normalized iterate moved by at most
+    FIXED_POINT_MOVE: on fine grids the gradient's rounding floor, about
+    n^2 eps, lies above the tolerance.
 
     Returns C* = 1/min R and the minimizer, sign-normalized and with
     ||u||_p = 1.  A given `stats` dict receives the number of iterations and
@@ -109,14 +114,14 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
     w = domain.weight
     solve = mesh.shifted_solver(domain, [0.0], [1.0])
     x = mesh.eigenmode(domain).values
-    best_residual = math.inf
+    best_residual = moved = math.inf
     for iterations in itertools.count():
         ax = a(x)
         f = x * np.abs(x) ** (p - 2.0)
         xax, xf = float(x @ ax), float(x @ f)
         relgrad = float(np.linalg.norm(ax / xax - f / xf) * np.linalg.norm(x))
         best_residual = min(best_residual, relgrad)
-        if relgrad < opts.grad_tol:
+        if relgrad < opts.grad_tol or moved <= FIXED_POINT_MOVE:
             break
         if iterations >= opts.max_iter or not math.isfinite(relgrad):
             raise ConvergenceError(
@@ -124,8 +129,10 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
                 f"max_iter={opts.max_iter} iterations above "
                 f"grad_tol={opts.grad_tol}; best relative gradient "
                 f"{best_residual:.3e}", best_residual)
+        x_prev = x
         x = solve(f[None])[0]
         x /= np.abs(x).max()
+        moved = float(np.abs(x - x_prev).max())
     if stats is not None:
         stats.update(iterations=iterations, residual=relgrad)
     if x[np.argmax(np.abs(x))] < 0:

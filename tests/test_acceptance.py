@@ -221,7 +221,8 @@ def test_ac6_variational_constants(lbfgs_c_star):
     for _ in range(200):
         u = dw.GridField(dom, rng.standard_normal(dom.size))
         lam = dw.nehari_scale(u, p)
-        j = dw.functional_J(dw.GridField(dom, lam * u.values), params)
+        proj = dw.SimState.rest(dw.GridField(dom, lam * u.values))
+        j = dw.total_energy(proj, params).J
         if j < wc.d * (1 - 1e-9):
             proj_ok = False
             break

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dampedwave as dw
 from dampedwave import mesh, solver
@@ -319,45 +321,71 @@ def test_series_csv_roundtrip(tmp_path, dom63, wc63_p4):
     # 345 nodes: above SAMPLE_EVERY_STEP_MAX_NODES, so rows are every 10th step
     (dw.rectangle((1.5, 1.0), (23, 15)), 25),
 ])
-def test_series_rows_match_public_functions(dom, n_steps):
-    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+def test_series_rows_match_public_functions(dom, n_steps, csr_stiffness):
+    """Each sample row against the public norms, its L against the formula,
+    and each step's midpoint dissipation against the assembled matrix; at
+    omega = 0 only the frictional term is left."""
+    a, w = csr_stiffness(dom), dom.weight
     cfg = dw.StepConfig(dt=5e-3)
     eps = 0.1
     u0 = dw.GridField(dom, 0.5 * mesh.eigenmode(dom).values)
     v0 = dw.GridField(dom, 0.3 * mesh.eigenmode(dom, (2,) * dom.dim).values)
     initial = dw.SimState(0.0, u0, v0)
-    series, outcome = dw.run(initial, params, cfg, n_steps * cfg.dt,
-                             dw.MonitorSet(epsilon=eps))
-    assert outcome.kind == "completed"
-
     stride = 1 if dom.size <= solver.SAMPLE_EVERY_STEP_MAX_NODES else 10
-    stepper = dw.Stepper(dom, [params], cfg)
-    states = [initial]
-    for _ in range(n_steps):
-        prev = states[-1]
-        u = prev.u.values[None]
-        (u, v), stats = stepper.advance(u, prev.v.values[None], stepper.a(u))
-        state = dw.SimState(prev.t + cfg.dt, dw.GridField(dom, u[0]),
-                            dw.GridField(dom, v[0]))
-        vm = dw.GridField(dom, 0.5 * (prev.v.values + v[0]))
-        want = dw.dissipation_rate(dw.SimState(state.t, state.u, vm), params)
-        (diss,) = stats.midpoint_dissipation
-        assert diss == pytest.approx(want, rel=1e-12, abs=0)
-        states.append(state)
-    sampled = [s for k, s in enumerate(states)
-               if k % stride == 0 or k == n_steps]
-    assert len(series) == len(sampled)
+    for omega, mu in ((0.1, 1.0), (0.0, 2.0)):
+        params = dw.ModelParams(omega=omega, mu=mu, p=4.0)
+        series, outcome = dw.run(initial, params, cfg, n_steps * cfg.dt,
+                                 dw.MonitorSet(epsilon=eps))
+        assert outcome.kind == "completed"
 
-    rows = zip(*(series.col(name) for name in COLUMNS))
-    for row, state in zip(rows, sampled):
-        rep = dw.total_energy(state, params)
-        assert rep.grad_sq == mesh.grad_norm_sq(state.u)
-        assert rep.lp_p == mesh.lp_norm_p(state.u, params.p)
-        assert rep.kinetic == 0.5 * mesh.l2_norm_sq(state.v)
-        ell = dw.lyapunov_L(state, params, eps)
-        expected = (state.t, rep.E, rep.I, rep.J, ell, rep.kinetic, rep.grad_sq,
-                    rep.lp_p, mesh.l2_norm_sq(state.v), mesh.grad_norm_sq(state.v))
-        assert row == expected
+        stepper = dw.Stepper(dom, [params], cfg)
+        states = [initial]
+        for _ in range(n_steps):
+            prev = states[-1]
+            u = prev.u.values[None]
+            (u, v), stats = stepper.advance(u, prev.v.values[None], stepper.a(u))
+            vm = 0.5 * (prev.v.values + v[0])
+            want = -omega * w * (vm @ (a @ vm)) - mu * w * (vm @ vm)
+            (diss,) = stats.midpoint_dissipation
+            assert diss == pytest.approx(want, rel=1e-12, abs=0)
+            states.append(dw.SimState(prev.t + cfg.dt, dw.GridField(dom, u[0]),
+                                      dw.GridField(dom, v[0])))
+        sampled = [s for k, s in enumerate(states)
+                   if k % stride == 0 or k == n_steps]
+        assert len(series) == len(sampled)
+
+        rows = zip(*(series.col(name) for name in COLUMNS))
+        for row, state in zip(rows, sampled):
+            rep = dw.total_energy(state, params)
+            assert rep.grad_sq == mesh.grad_norm_sq(state.u)
+            assert rep.lp_p == mesh.lp_norm_p(state.u, params.p)
+            assert rep.kinetic == 0.5 * mesh.l2_norm_sq(state.v)
+            ell = (rep.E + eps * mesh.inner(state.v, state.u)
+                   + 0.5 * eps * omega * rep.grad_sq)
+            expected = (state.t, rep.E, rep.I, rep.J, ell, rep.kinetic,
+                        rep.grad_sq, rep.lp_p, mesh.l2_norm_sq(state.v),
+                        mesh.grad_norm_sq(state.v))
+            assert row == expected
+
+
+NODE_VALUES = st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
+                       min_size=3, max_size=3)
+DAMPING = st.tuples(st.floats(min_value=0, max_value=2),
+                    st.floats(min_value=0, max_value=2)).filter(lambda d: sum(d) > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(NODE_VALUES, NODE_VALUES, DAMPING),
+                     min_size=1, max_size=3))
+def test_midpoint_dissipation_is_nonpositive(rows):
+    """dE/dt = -omega ||grad u_t||^2 - mu ||u_t||^2 <= 0 at every step's midpoint."""
+    dom = dw.interval(1.0, 3)
+    params = [dw.ModelParams(omega=omega, mu=mu, p=4.0) for _, _, (omega, mu) in rows]
+    stepper = dw.Stepper(dom, params, dw.StepConfig(dt=5e-3))
+    u = np.array([u for u, _, _ in rows])
+    v = np.array([v for _, v, _ in rows])
+    _, stats = stepper.advance(u, v, stepper.a(u))
+    assert all(diss <= 0.0 for diss in stats.midpoint_dissipation)
 
 
 @pytest.mark.parametrize("field", ["u", "v"])

@@ -1,5 +1,6 @@
 """The public surface that callers outside the package look names up in."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -13,6 +14,9 @@ import dampedwave as dw
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+# Named only as strings in perfbench/tracing.py's TARGETS, so no AST node
+# refers to them; they go with the next change to the benchmark.
+TRACED_ONLY = {"inner", "l2_norm_sq"}
 
 
 def _load_perfbench(name):
@@ -32,6 +36,32 @@ def test_traced_targets_resolve():
             owner = getattr(owner, part, None)
             assert owner is not None, f"{span}: {modname}.{attr} is gone"
         assert callable(owner), f"{span}: {modname}.{attr} is not callable"
+
+
+def test_library_names_have_a_caller_outside_the_tests():
+    """Each public function and class of the package is referred to by code
+    other than its definition, its re-export and the tests."""
+    package = sorted((ROOT / "src" / "dampedwave").glob("*.py"))
+    callers = [*package, *PERFBENCH.glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    defined, referred = {}, set()
+    for path in callers:
+        if path.name == "__init__.py" or path.name.startswith("test_"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        if path in package:
+            defined.update((node.name, path.name) for node in tree.body
+                           if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                           and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    traced = {attr for _, _, attr in _load_perfbench("tracing").TARGETS}
+    assert TRACED_ONLY <= traced
+    unused = sorted(f"{module}: {name}" for name, module in defined.items()
+                    if name not in referred | TRACED_ONLY)
+    assert not unused
 
 
 def test_exports_exist():

@@ -89,6 +89,14 @@ class TestWellConstants:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(4.0, abs=0.1)
 
+    def test_fine_grid_stops_at_a_fixed_point(self):
+        # at n=2047 the relative gradient's rounding floor (about 1.8e-10)
+        # lies above the default grad_tol, so the fixed-point test ends it
+        stats = {}
+        c_star, _ = dw.compute_c_star(dw.interval(1.0, 2047), 4.0, stats=stats)
+        assert stats["residual"] >= dw.MinimizeOpts().grad_tol
+        assert c_star == pytest.approx(_continuum_c_star(1.0, 4.0), rel=2e-7)
+
     def test_seed_has_no_effect(self):
         for dom in (dw.interval(1.0, 63), dw.rectangle((1.5, 1.0), (47, 31))):
             c0, u0 = dw.compute_c_star(dom, 4.0, dw.MinimizeOpts(seed=0))
@@ -114,8 +122,8 @@ class TestWellConstants:
         lam = dw.nehari_scale(u, 4.0)
         proj = dw.GridField(dom63, lam * u.values)
         params = dw.ModelParams(omega=1.0, mu=1.0, p=4.0)
-        assert dw.functional_J(proj, params) == pytest.approx(wc63_p4.d,
-                                                              abs=1e-6)
+        j = dw.total_energy(dw.SimState.rest(proj), params).J
+        assert j == pytest.approx(wc63_p4.d, abs=1e-6)
 
     def test_depth_bounds_random_projections(self, dom63, wc63_p4, rng):
         params = dw.ModelParams(omega=1.0, mu=1.0, p=4.0)
@@ -123,7 +131,8 @@ class TestWellConstants:
             u = dw.GridField(dom63, rng.standard_normal(dom63.size))
             lam = dw.nehari_scale(u, 4.0)
             proj = dw.GridField(dom63, lam * u.values)
-            assert dw.functional_J(proj, params) >= wc63_p4.d * (1 - 1e-9)
+            j = dw.total_energy(dw.SimState.rest(proj), params).J
+            assert j >= wc63_p4.d * (1 - 1e-9)
 
     def test_invalid_exponent_rejected(self, dom63):
         with pytest.raises(ValueError):
@@ -158,16 +167,21 @@ class TestNehariScale:
         lam = dw.nehari_scale(u, 4.0)
         proj = dw.GridField(dom63, lam * u.values)
         scale = mesh.grad_norm_sq(proj)
-        assert abs(dw.functional_I(proj, params)) <= 1e-10 * scale
+        i = dw.total_energy(dw.SimState.rest(proj), params).I
+        assert abs(i) <= 1e-10 * scale
 
     def test_maximizes_J(self, dom3):
         params = dw.ModelParams(omega=1.0, mu=1.0, p=4.0)
         u = dw.GridField(dom3, [1, 1, 1])
         lam = dw.nehari_scale(u, 4.0)
-        j_star = dw.functional_J(dw.GridField(dom3, lam * u.values), params)
+
+        def j_at(scale):
+            state = dw.SimState.rest(dw.GridField(dom3, scale * u.values))
+            return dw.total_energy(state, params).J
+
+        j_star = j_at(lam)
         for factor in (0.5, 0.9, 1.1, 2.0):
-            j = dw.functional_J(dw.GridField(dom3, factor * lam * u.values), params)
-            assert j_star >= j
+            assert j_star >= j_at(factor * lam)
 
     def test_zero_rejected(self, dom3):
         with pytest.raises(ValueError):
