@@ -35,8 +35,6 @@ DEFAULTS: dict[str, str] = {
     "init.file": "",
     "step.dt": "0.005",
     "run.horizon": "20.0",
-    "cstar.max_iter": "1000",
-    "cstar.grad_tol": "1e-10",
     "seed": "0",                 # no effect: C* is computed deterministically
 }
 
@@ -101,7 +99,6 @@ class Experiment:
     params: ModelParams
     step: solver.StepConfig
     horizon: float
-    opts: well.MinimizeOpts
     init_kind: str
     init_fraction: float
     init_field: GridField | None  # the init.file field when init_kind is "file"
@@ -121,9 +118,7 @@ def parse(table: dict[str, str]) -> Experiment:
         solver.step_count(horizon, step.dt)
     except ValueError as exc:
         raise ConfigError(f"run.horizon and step.dt: {exc}") from exc
-    opts = well.MinimizeOpts(max_iter=_int(table, "cstar.max_iter"),
-                             grad_tol=_float(table, "cstar.grad_tol"),
-                             seed=_int(table, "seed"))
+    _int(table, "seed")  # checked, though nothing reads it
     kind = table["init.kind"]
     if kind not in ("stable", "unstable", "zero", "file"):
         raise ConfigError(f"unknown init.kind {kind!r}")
@@ -138,8 +133,8 @@ def parse(table: dict[str, str]) -> Experiment:
             raise ConfigError("initial-data file domain does not match config")
         if not field.is_finite():
             raise ConfigError("init.file: field contains NaN or Inf")
-    return Experiment(dict(table), domain, params, step, horizon, opts, kind,
-                      fraction, field)
+    return Experiment(dict(table), domain, params, step, horizon, kind, fraction,
+                      field)
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -147,7 +142,7 @@ def _json_dump(obj, path: Path) -> None:
 
 
 def _well_report(exp: Experiment) -> tuple[well.WellConstants, dict]:
-    wc = well.well_constants(exp.domain, exp.params.p, exp.opts)
+    wc = well.well_constants(exp.domain, exp.params.p)
     report = dict(asdict(wc), resolution=list(exp.domain.n))
     report["domain"] = report.pop("fingerprint")
     return wc, report
@@ -187,11 +182,11 @@ class _Prepared:
 def _prepare(exp: Experiment, outdir: Path, constants: dict) -> _Prepared:
     """Constants, initial data, classification, certificate, monitors.
 
-    `constants` maps (domain, p, opts) to the `_well_report` of an earlier
+    `constants` maps (domain, p) to the `_well_report` of an earlier
     point, and receives this point's.  The directory and its u0.txt are
     written last, so a point that fails leaves none behind.
     """
-    key = (exp.domain, exp.params.p, exp.opts)
+    key = (exp.domain, exp.params.p)
     if key not in constants:
         constants[key] = _well_report(exp)
     wc, well_report = constants[key]
@@ -266,14 +261,16 @@ def cmd_classify(exp: Experiment, outdir: Path) -> int:
     return 0
 
 
-def _parse_vary(items: list[str]) -> list[tuple[str, list[str]]]:
-    grid = []
+def _parse_vary(items: list[str]) -> dict[str, list[str]]:
+    grid = {}
     for item in items:
         key, values = _pair(item, "--vary")
         vals = [v.strip() for v in values.split(",") if v.strip()]
         if not vals:
             raise ConfigError(f"--vary {key}: empty value list")
-        grid.append((key, vals))
+        if key in grid:
+            raise ConfigError(f"--vary {key}: key given twice")
+        grid[key] = vals
     return grid
 
 
@@ -297,18 +294,18 @@ def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
     grid = _parse_vary(vary)
     if not grid:
         raise ConfigError("sweep needs at least one --vary")
-    keys = [key for key, _ in grid]
+    keys = list(grid)
     # Parse every point before anything is written, so bad input leaves no
     # output directory behind.
     todo = []
-    for idx, combo in enumerate(itertools.product(*(vals for _, vals in grid))):
+    for idx, combo in enumerate(itertools.product(*grid.values())):
         point = {**table, **dict(zip(keys, combo))}
         if _float(point, "model.omega") == _float(point, "model.mu") == 0.0:
             continue  # undamped: outside the theory, ModelParams rejects it
         todo.append((idx, combo, parse(point)))
     outdir.mkdir(parents=True, exist_ok=True)
     summaries = {}
-    constants: dict = {}  # one C* per distinct (domain, p, opts)
+    constants: dict = {}  # one C* per distinct (domain, p)
     groups: dict[tuple, list[tuple[int, _Prepared]]] = {}
     for idx, _, exp in todo:
         pt = _guarded(_prepare, exp, outdir / f"point_{idx:04d}", constants)

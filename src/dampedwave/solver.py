@@ -86,6 +86,10 @@ class MonitorSet:
     grad_bound: bool = False          # ||grad u||^2 <= 2p/(p-2) E(0)
     energy_monotone: bool = False
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+
 
 @dataclass(frozen=True)
 class RunOutcome:

@@ -18,7 +18,10 @@ from .functionals import ModelParams, SimState, total_energy
 from .mesh import Domain, GridField
 
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-# C* float fixed point: the max-normalized iterate moved by at most 4 ulps of 1
+# C* iteration: cap, relative-gradient tolerance, and the float fixed point,
+# where the max-normalized iterate moved by at most 4 ulps of 1
+MAX_ITER = 1000
+GRAD_TOL = 1e-10
 FIXED_POINT_MOVE = 4.0 * np.finfo(float).eps
 
 
@@ -70,23 +73,12 @@ class WellConstants:
 
 @dataclass(frozen=True)
 class MinimizeOpts:
-    """Iteration cap and relative-gradient tolerance of the C* iteration.
+    """Accepted by `well_constants` and never read: C* is deterministic."""
 
-    `seed` has no effect, because the iteration is deterministic; it is
-    accepted so that callers which pass it keep working.
-    """
-
-    max_iter: int = 1000
-    grad_tol: float = 1e-10
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.max_iter < 0 or not self.grad_tol > 0.0:
-            raise ValueError(f"C* iteration needs max_iter >= 0 and grad_tol > 0, "
-                             f"got {self.max_iter} and {self.grad_tol}")
 
-
-def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts(),
+def compute_c_star(domain: Domain, p: float,
                    stats: dict | None = None) -> tuple[float, GridField]:
     """Best constant of the H^1_0 -> L^p embedding on the discrete domain.
 
@@ -99,10 +91,11 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
     that of the ground state, about lambda1^(1/(p-2)) and beyond the float
     range for p near 2.  Each iterate is therefore rescaled to max|u| = 1,
     which leaves the sequence of shapes unchanged.  The iteration stops when
-    the relative gradient ||grad R|| ||u|| / R falls below `opts.grad_tol`,
-    or at a float fixed point, when the normalized iterate moved by at most
+    the relative gradient ||grad R|| ||u|| / R falls below GRAD_TOL, or at
+    a float fixed point, when the normalized iterate moved by at most
     FIXED_POINT_MOVE: on fine grids the gradient's rounding floor, about
-    n^2 eps, lies above the tolerance.
+    n^2 eps, lies above the tolerance.  Past MAX_ITER iterations it raises
+    ConvergenceError.
 
     Returns C* = 1/min R and the minimizer, sign-normalized and with
     ||u||_p = 1.  A given `stats` dict receives the number of iterations and
@@ -121,14 +114,13 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
         xax, xf = float(x @ ax), float(x @ f)
         relgrad = float(np.linalg.norm(ax / xax - f / xf) * np.linalg.norm(x))
         best_residual = min(best_residual, relgrad)
-        if relgrad < opts.grad_tol or moved <= FIXED_POINT_MOVE:
+        if relgrad < GRAD_TOL or moved <= FIXED_POINT_MOVE:
             break
-        if iterations >= opts.max_iter or not math.isfinite(relgrad):
+        if iterations >= MAX_ITER or not math.isfinite(relgrad):
             raise ConvergenceError(
                 f"Petviashvili iteration stopped after {iterations} of "
-                f"max_iter={opts.max_iter} iterations above "
-                f"grad_tol={opts.grad_tol}; best relative gradient "
-                f"{best_residual:.3e}", best_residual)
+                f"MAX_ITER={MAX_ITER} iterations above GRAD_TOL={GRAD_TOL}; "
+                f"best relative gradient {best_residual:.3e}", best_residual)
         x_prev = x
         x = solve(f[None])[0]
         x /= np.abs(x).max()
@@ -143,9 +135,9 @@ def compute_c_star(domain: Domain, p: float, opts: MinimizeOpts = MinimizeOpts()
 
 def well_constants(domain: Domain, p: float,
                    opts: MinimizeOpts = MinimizeOpts()) -> WellConstants:
-    """C*, d, beta and the discrete Poincare constant for one domain."""
+    """C*, d, beta and the discrete Poincare constant; `opts` is not read."""
     stats: dict = {}
-    c_star, _ = compute_c_star(domain, p, opts, stats)
+    c_star, _ = compute_c_star(domain, p, stats)
     return WellConstants(c_star=c_star, lambda1=mesh.eigenvalue(domain), p=p,
                          fingerprint=domain.fingerprint(), **stats)
 

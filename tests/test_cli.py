@@ -1,13 +1,18 @@
 import csv
+import importlib.util
 import itertools
 import json
+import re
+import shlex
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dampedwave as dw
 from dampedwave import cli, mesh, well
-from dampedwave.series import COLUMNS, TimeSeries
+from dampedwave.series import COLUMNS
 
 FAST = [
     "--set", "domain.n=31",
@@ -52,7 +57,8 @@ def test_undamped_run_exits_1(tmp_path, capsys):
 
 
 def test_unknown_key_exits_1(tmp_path):
-    for setting in ("model.banana=1", "output.dir=x"):
+    # cstar.grad_tol was a key once: an old config file that sets it fails
+    for setting in ("model.banana=1", "output.dir=x", "cstar.grad_tol=1e-10"):
         assert cli.main(["well", "--out", str(tmp_path),
                          "--set", setting]) == 1
 
@@ -87,10 +93,6 @@ def test_bad_item_names_its_source(tmp_path, capsys, source, item):
     ("run", "domain.extents=1e-150"),   # the same, through C*
     ("run", "domain.extents=1e-300"),   # 1/h^2 overflows
     ("run", "domain.extents=1e200"),    # h^2 overflows
-    ("run", "cstar.grad_tol=0"),        # unreachable C* tolerance
-    ("run", "cstar.grad_tol=-1e-10"),
-    ("run", "cstar.max_iter=-1"),
-    ("sweep", "cstar.grad_tol=0"),
 ])
 def test_unusable_numeric_setting_exits_1(tmp_path, capsys, command, setting):
     out = tmp_path / "out"
@@ -115,7 +117,7 @@ def test_sweep_point_out_of_float_range_gets_an_error_row(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "run.horizon=inf", "model.p=nan", "cstar.grad_tol=nan", "step.dt=inf",
+    "run.horizon=inf", "model.p=nan", "step.dt=inf",
     "model.omega=nan", "init.fraction=nan"])
 def test_non_finite_value_exits_1(tmp_path, capsys, setting):
     out = tmp_path / "out"
@@ -191,10 +193,10 @@ def test_failed_preparation_leaves_no_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["well", "run", "classify"])
-def test_c_star_failure_exits_2(tmp_path, capsys, command):
+def test_c_star_failure_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(well, "MAX_ITER", 0)
     out = tmp_path / "out"
-    assert cli.main([command, "--out", str(out), "--set", "domain.n=15",
-                     "--set", "cstar.max_iter=0"]) == 2
+    assert cli.main([command, "--out", str(out), "--set", "domain.n=15"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "Traceback" not in err
     assert not out.exists()
@@ -248,8 +250,6 @@ MALFORMED = {
     "init.file": "missing.txt",  # read only with init.kind=file
     "step.dt": "0",
     "run.horizon": "-1",
-    "cstar.max_iter": "many",
-    "cstar.grad_tol": "nan",
     "seed": "1.5",
 }
 
@@ -311,8 +311,10 @@ def test_run_zero_data(tmp_path):
     code = cli.main(["run", "--out", str(tmp_path), *FAST,
                      "--set", "init.kind=zero"])
     assert code == 0
-    series = TimeSeries.read_csv(tmp_path / "series.csv")
-    assert not any(series.col(name).any() for name in COLUMNS[1:])
+    path = tmp_path / "series.csv"
+    assert path.read_text().splitlines()[0] == ",".join(COLUMNS)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert len(data) > 1 and not data[:, 1:].any()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["outcome"]["kind"] == "completed"
 
@@ -362,6 +364,42 @@ def test_sweep_grid(tmp_path):
     assert code == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 5  # header + grid minus the undamped point
+
+
+def test_repeated_vary_key_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), *FAST, "--vary", "model.p=3",
+                     "--vary", "model.p=4"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --vary model.p: key given twice\n")
+    assert not out.exists()
+
+
+def _documented_settings():
+    """(source, key) of each --set and --vary item that the answer cases and
+    the sh blocks of README.md pass."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("answers_cases",
+                                                  root / "tools" / "answers.py")
+    answers = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = answers  # dataclasses look their module up there
+    spec.loader.exec_module(answers)
+    commands = [(case, argv) for case, argv, _ in answers.CASES]
+    readme = (root / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        commands.append(("README.md", shlex.split(block.replace("\\\n", " "),
+                                                  comments=True)))
+    for source, argv in commands:
+        for flag, item in zip(argv, argv[1:]):
+            if flag in ("--set", "--vary"):
+                yield source, item.split("=", 1)[0]
+
+
+def test_documented_settings_are_config_keys():
+    settings = list(_documented_settings())
+    assert {source for source, _ in settings} >= {"README.md", "cli-sweep"}
+    assert [(source, key) for source, key in settings
+            if key not in cli.DEFAULTS] == []
 
 
 @pytest.mark.parametrize("setting", ["model.omega=nan", "step.dt=nan",

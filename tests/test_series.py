@@ -39,11 +39,12 @@ def test_from_arrays_and_csv_round_trip_bitwise(tmp_path, rng):
     series = TimeSeries.from_arrays(**{name: data[:, j] for j, name in enumerate(COLUMNS)})
     path = tmp_path / "series.csv"
     series.to_csv(path)
-    back = TimeSeries.read_csv(path)
+    assert path.read_text().splitlines()[0] == ",".join(COLUMNS)
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert len(series) == len(back) == 25
     for j, name in enumerate(COLUMNS):
         assert series.col(name).tobytes() == data[:, j].tobytes()
-        assert back.col(name).tobytes() == data[:, j].tobytes()
+        assert back[:, j].tobytes() == data[:, j].tobytes()
 
 
 def test_from_arrays_defaults_missing_columns_to_zero():
@@ -62,9 +63,3 @@ def test_to_csv_bytes_match_hand_formatting(tmp_path, rng):
     lines += [",".join(f"{float(x):.17g}" for x in row) for row in data]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
-
-def test_read_csv_rejects_a_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,E\n0,1\n")
-    with pytest.raises(ValueError, match="header"):
-        TimeSeries.read_csv(path)

@@ -91,18 +91,17 @@ class TestWellConstants:
 
     def test_fine_grid_stops_at_a_fixed_point(self):
         # at n=2047 the relative gradient's rounding floor (about 1.8e-10)
-        # lies above the default grad_tol, so the fixed-point test ends it
+        # lies above GRAD_TOL, so the fixed-point test ends it
         stats = {}
         c_star, _ = dw.compute_c_star(dw.interval(1.0, 2047), 4.0, stats=stats)
-        assert stats["residual"] >= dw.MinimizeOpts().grad_tol
+        assert stats["residual"] >= well.GRAD_TOL
         assert c_star == pytest.approx(_continuum_c_star(1.0, 4.0), rel=2e-7)
 
     def test_seed_has_no_effect(self):
         for dom in (dw.interval(1.0, 63), dw.rectangle((1.5, 1.0), (47, 31))):
-            c0, u0 = dw.compute_c_star(dom, 4.0, dw.MinimizeOpts(seed=0))
-            c1, u1 = dw.compute_c_star(dom, 4.0, dw.MinimizeOpts(seed=12345))
-            assert c0 == c1
-            assert np.array_equal(u0.values, u1.values)
+            wc0 = dw.well_constants(dom, 4.0, dw.MinimizeOpts(seed=0))
+            wc1 = dw.well_constants(dom, 4.0, dw.MinimizeOpts(seed=12345))
+            assert wc0 == wc1
 
     def test_monotone_refinement(self):
         values = [dw.compute_c_star(dw.interval(1.0, n), 4.0)[0]
@@ -138,16 +137,16 @@ class TestWellConstants:
         with pytest.raises(ValueError):
             dw.compute_c_star(dom63, 2.0)
 
-    def test_unconverged_reports_best_residual(self, dom63):
-        opts = dw.MinimizeOpts(max_iter=1)
+    def test_unconverged_reports_best_residual(self, dom63, monkeypatch):
+        monkeypatch.setattr(well, "MAX_ITER", 1)
         with pytest.raises(well.ConvergenceError) as info:
-            dw.compute_c_star(dom63, 4.0, opts)
+            dw.compute_c_star(dom63, 4.0)
         best = info.value.best_residual
         assert math.isfinite(best)
-        assert best >= opts.grad_tol
+        assert best >= well.GRAD_TOL
         assert f"{best:.3e}" in str(info.value)
         assert "start" not in str(info.value)
-        assert "max_iter=1 " in str(info.value)
+        assert "MAX_ITER=1 " in str(info.value)
 
 
 class TestNehariScale:

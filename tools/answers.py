@@ -77,7 +77,7 @@ CASES = [
           ("rectangle", ["--set", "domain.kind=rectangle",
                          "--set", "domain.extents=1.5,1.0", "--set", "domain.n=47,31"]))
       for p in (3, 4, 6)),
-    # C* ends on its fixed-point test: the gradient cannot reach grad_tol here
+    # C* ends on its fixed-point test: the gradient cannot reach GRAD_TOL here
     ("well-fine-grid", ["well", "--set", "domain.n=2047"], 0),
     ("classify-file", ["classify", "--set", "init.kind=file",
                        "--set", "init.file=../run-blowup/u0.txt"], 0),
@@ -90,6 +90,8 @@ CASES = [
     ("run-step-ceiling", ["run", "--set", "run.horizon=1e12"], 1),
     ("run-huge-mu", ["run", "--set", "model.mu=1e300"], 1),
     ("well-node-ceiling", ["well", "--set", "domain.n=4096"], 1),
+    ("sweep-repeated-vary", ["sweep", "--vary", "model.p=3", "--vary", "model.p=4"],
+     1),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
