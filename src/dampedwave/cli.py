@@ -303,6 +303,8 @@ def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
         if _float(point, "model.omega") == _float(point, "model.mu") == 0.0:
             continue  # undamped: outside the theory, ModelParams rejects it
         todo.append((idx, combo, parse(point)))
+    if not todo:
+        raise ConfigError("no damped point to run: every point has omega = mu = 0")
     outdir.mkdir(parents=True, exist_ok=True)
     summaries = {}
     constants: dict = {}  # one C* per distinct (domain, p)

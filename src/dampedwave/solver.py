@@ -13,8 +13,13 @@ and the Picard map is a contraction with constant
 rho = dt^2 (p-1) M^(p-2) / (2 c0) wherever |u_mid| <= M.  By the Banach
 fixed-point theorem the iterate is then within rho/(1-rho) times its last
 change of the step's fixed point.  A step ends when that bound meets
-PICARD_TOL, which saves the solve that a test on the change alone spends
-only to confirm the previous one.
+PICARD_TOL, from the first solve on.
+
+`run_many` starts each step's iteration from the midpoint velocities of the
+last HISTORY steps extrapolated in time (`start_guess`; Hairer and Wanner,
+Solving ODEs II, IV.8).  On the smooth trajectories of the stable set that
+start is close enough for the first solve to pass the bound, so most steps
+take one solve.
 
 `run_many` steps trajectories that share a domain, dt, horizon and p as one
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
@@ -43,18 +48,21 @@ PICARD_TOL = 1e-12  # bound on |vm - fixed point|_inf / max(1, |vm|_inf)
 PICARD_MAX = 50  # Picard iterations before a step fails
 POLE_RTOL = 1e-9  # T_max search stops at this bracket width over its upper end
 MAX_STEPS = 10**7  # most steps of one run; its series grows with the steps
+HISTORY = 5  # midpoint velocities behind the quartic start guess of a step
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class StepFailure(RuntimeError):
     """Picard iteration did not converge or produced non-finite values.
 
-    `rows` lists the failed rows of the stepped stack.
+    `rows` lists the failed rows of the stepped stack, and `iters` the
+    Picard iterations each of them spent.
     """
 
-    def __init__(self, message: str, rows: Sequence[int]):
+    def __init__(self, message: str, rows: Sequence[int], iters: int = 0):
         super().__init__(message)
         self.rows = list(rows)
+        self.iters = iters
 
 
 @dataclass(frozen=True)
@@ -68,12 +76,18 @@ class StepConfig:
 
 @dataclass(frozen=True)
 class StepStats:
-    picard_iters: int  # linear solves, summed over the rows of the stack
+    row_iters: list[int]  # linear solves per row, a fallback from its guess included
     # dissipation identity evaluated at the midpoint, one per row
     midpoint_dissipation: list[float]
     # per row, the contraction constant rho that ended the row's iteration,
     # or inf where the test on the change alone ended it
     contraction: list[float]
+    vm: np.ndarray  # the midpoint velocities the step ended on, (K, size)
+
+    @property
+    def picard_iters(self) -> int:
+        """Linear solves, summed over the rows of the stack."""
+        return sum(self.row_iters)
 
 
 @dataclass
@@ -98,6 +112,7 @@ class RunOutcome:
     t_max_estimate: float | None = None
     details: str = ""
     energy_drift: float = 0.0  # summed |dE - midpoint dissipation| over all steps
+    linear_solves: int = 0  # midpoint solves of all completed steps
 
 
 class Stepper:
@@ -128,35 +143,67 @@ class Stepper:
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
         return um * np.abs(um) ** (self.p - 2.0)
 
-    def advance(self, u: np.ndarray, v: np.ndarray, au: np.ndarray
+    def advance(self, u: np.ndarray, v: np.ndarray, au: np.ndarray,
+                guess: np.ndarray | None = None
                 ) -> tuple[tuple[np.ndarray, np.ndarray], StepStats]:
         """One midpoint step from the (K, size) stacks u and v; `au` is A @ u.
 
-        Each row iterates until its own Picard test passes and then stays
-        fixed while the other rows go on.  From the second iterate on, with
+        The Picard iteration starts from vm_0 = `guess`, or from v when no
+        guess is given.  Each row iterates until its own Picard test passes
+        and then stays fixed while the other rows go on.  With
         delta = |vm_k - vm_{k-1}|_inf and m = |vm_k|_inf, a row stops when
         rho < 1/2 and rho delta <= (1 - rho) PICARD_TOL max(1, m), where
         M = |u|_inf + dt/2 max(|vm_{k-1}|_inf, m + delta) bounds |u_mid| on
-        the ball around vm_k that holds the fixed point.  Otherwise it stops
-        when delta <= PICARD_TOL max(1, m).  A row whose iterate turns
-        non-finite, or that has not converged after PICARD_MAX iterations,
-        fails the step: StepFailure names the failed rows.
+        the segments from vm_{k-1} to the ball around vm_k that holds the
+        fixed point.  The ball argument asks of vm_{k-1} only that the map
+        sends it to vm_k, not that it is itself an iterate, so it holds from
+        k = 1 on, with vm_0 the start.  Otherwise a row stops when
+        delta <= PICARD_TOL max(1, m).  A row whose iterate turns non-finite,
+        or that has not converged after PICARD_MAX iterations, fails; a row
+        that failed from a start other than v starts again from v, and a row
+        that fails from v fails the step: StepFailure names the failed rows.
         """
         if u.ndim != 2:
             raise ValueError(f"advance takes (K, size) stacks, got shape {u.shape}")
+        start, spent = v if guess is None else guess, [0] * len(u)
+        while True:
+            try:
+                vm, iters, rho = self._picard(u, v, au, start)
+                break
+            except StepFailure as failure:
+                retry = [r for r in failure.rows if not np.array_equal(start[r], v[r])]
+                if not retry:
+                    raise
+                start = start.copy()
+                start[retry] = v[retry]
+                for r in retry:
+                    spent[r] += failure.iters
+        dt = self.cfg.dt
+        diss = [omega_w * grad_sq - mu_w * sq
+                for (omega_w, mu_w), grad_sq, sq in zip(
+                    self._damping, mesh.row_dots(vm, self.a(vm)),
+                    mesh.row_dots(vm, vm))]
+        u, v = u + dt * vm, 2.0 * vm - v
+        return (u, v), StepStats(row_iters=[s + i for s, i in zip(spent, iters)],
+                                 midpoint_dissipation=diss, contraction=rho, vm=vm)
+
+    def _picard(self, u: np.ndarray, v: np.ndarray, au: np.ndarray,
+                vm: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
+        """The Picard iteration of `advance` from vm; returns the final vm and
+        per row the iterations and the rho that ended them."""
         dt, q = self.cfg.dt, self.p - 2.0
         half_dt = 0.5 * dt
         base = 2.0 * v - dt * au
         umax = np.maximum.reduce(np.abs(u), axis=-1).tolist()
-        vm, vmax = v, None  # vmax: |vm_{k-1}|_inf per row, from the second iterate
         n_rows = len(u)
-        done = [False] * n_rows
+        iters = [0] * n_rows  # 0 until the row's test passes
         rho = [math.inf] * n_rows
         fixed = None  # rows that stay fixed while the others iterate on
-        n_done = iters = 0
+        n_done = 0
         # Overflow near blow-up is expected; non-finite values are caught
         # below and surfaced as a step failure.
         with np.errstate(over="ignore", invalid="ignore"):
+            vmax = np.maximum.reduce(np.abs(vm), axis=-1).tolist()
             for it in range(1, PICARD_MAX + 1):
                 um = u + half_dt * vm
                 rhs = base + dt * self._nonlinear(um)
@@ -169,40 +216,50 @@ class Stepper:
                 vmax = np.maximum.reduce(np.abs(vm), axis=-1).tolist()
                 n_was = n_done
                 for r, (d, m) in enumerate(zip(delta, vmax)):
-                    if done[r]:
+                    if iters[r]:
                         continue
                     if not math.isfinite(m):
                         raise StepFailure(
                             "midpoint solve produced non-finite values",
-                            [r for r, x in enumerate(vmax) if not math.isfinite(x)])
+                            [r for r, x in enumerate(vmax) if not math.isfinite(x)], it)
                     tol = PICARD_TOL * max(1.0, m)
-                    if prev is not None:
-                        bound = umax[r] + half_dt * max(prev[r], m + d)
-                        try:
-                            rho_k = self._lip[r] * bound ** q
-                        except OverflowError:  # so large a bound never contracts
-                            rho_k = math.inf
-                        if rho_k < 0.5 and rho_k * d <= (1.0 - rho_k) * tol:
-                            done[r], rho[r] = True, rho_k
+                    bound = umax[r] + half_dt * max(prev[r], m + d)
+                    try:
+                        rho_k = self._lip[r] * bound ** q
+                    except OverflowError:  # so large a bound never contracts
+                        rho_k = math.inf
+                    if rho_k < 0.5 and rho_k * d <= (1.0 - rho_k) * tol:
+                        iters[r], rho[r] = it, rho_k
                     if d <= tol:
-                        done[r] = True
-                    if done[r]:
+                        iters[r] = it
+                    if iters[r]:
                         n_done += 1
-                        iters += it
                 if n_done == n_rows:
                     break
                 if n_done > n_was:
-                    fixed = np.array(done)
+                    fixed = np.array(iters, dtype=bool)
             else:
                 raise StepFailure(f"Picard stalled after {PICARD_MAX} iterations",
-                                  [r for r in range(n_rows) if not done[r]])
-        diss = [omega_w * grad_sq - mu_w * sq
-                for (omega_w, mu_w), grad_sq, sq in zip(
-                    self._damping, mesh.row_dots(vm, self.a(vm)),
-                    mesh.row_dots(vm, vm))]
-        u, v = u + dt * vm, 2.0 * vm - v
-        return (u, v), StepStats(picard_iters=iters, midpoint_dissipation=diss,
-                                 contraction=rho)
+                                  [r for r in range(n_rows) if not iters[r]], PICARD_MAX)
+        return vm, iters, rho
+
+
+def start_guess(history: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The start of a step's Picard iteration from the midpoint velocities of
+    the steps before it, oldest first: their quartic extrapolation once
+    HISTORY are known, the linear one from two, else None (start from v).
+
+    Each entry is a (K, size) stack; the combination is elementwise, so each
+    row rounds as it does alone.
+    """
+    # an overflowing guess is non-finite, which `advance` falls back from
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(history) >= HISTORY:
+            h5, h4, h3, h2, h1 = history[-HISTORY:]
+            return h5 + 5.0 * (h1 - h4) + 10.0 * (h3 - h2)
+        if len(history) >= 2:
+            return 2.0 * history[-1] - history[-2]
+    return None
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -229,6 +286,7 @@ class _Row:
         self.grad_cap = (2.0 * p / (p - 2.0)) * e0 * (1.0 + 1e-6)
         self.energy_tol = ENERGY_TOL_COEFF * dt**3 * max(1.0, abs(e0))
         self.drift = 0.0
+        self.solves = 0
 
     def record(self, terms: tuple, vu: float, vav: float, w: float) -> None:
         """Append one sample row from the step's `energy_terms` of this row.
@@ -248,7 +306,8 @@ class _Row:
         """This row's result, ended now with outcome `kind`."""
         return self.series, RunOutcome(kind=kind, T=self.t, details=details,
                                        t_max_estimate=t_max_estimate,
-                                       energy_drift=self.drift)
+                                       energy_drift=self.drift,
+                                       linear_solves=self.solves)
 
     def check(self, terms: tuple) -> tuple[TimeSeries, RunOutcome] | None:
         """The result that ends this row at a sample, if any."""
@@ -285,7 +344,8 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
 
     The energy is evaluated once per step on raw arrays; the drift, the
     monitors and the sampled row all share that evaluation, and its A @ u
-    also serves the next step.
+    also serves the next step.  Each step starts its Picard iteration from
+    `start_guess` of the stack's last HISTORY midpoint velocities.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -312,11 +372,12 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
                                        mesh.row_dots(v, a(v))):
         row.record(row_terms, vu, vav, w)
     results: list = [None] * len(states)
+    history: list[np.ndarray] = []  # the last HISTORY midpoint velocities
 
     k = 1
     while rows and k <= n_steps:
         try:
-            (u_new, v_new), stats = stepper.advance(u, v, au)
+            (u_new, v_new), stats = stepper.advance(u, v, au, start_guess(history))
         except StepFailure as failure:
             for r in failure.rows:
                 row = rows[r]
@@ -327,15 +388,18 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
             keep = [r for r in range(len(rows)) if r not in failure.rows]
         else:
             u, v = u_new, v_new
+            history.append(stats.vm)
+            del history[:-HISTORY]
             au = a(u)
             terms = energy_terms(u, au, v, w, p)
             sampled = k % stride == 0 or k == n_steps
             if sampled:
                 vus, vavs = mesh.row_dots(v, u), mesh.row_dots(v, a(v))
             keep = []
-            for r, (row, row_terms, diss) in enumerate(
-                    zip(rows, terms, stats.midpoint_dissipation)):
+            for r, (row, row_terms, diss, iters) in enumerate(
+                    zip(rows, terms, stats.midpoint_dissipation, stats.row_iters)):
                 row.t += dt
+                row.solves += iters
                 e_now = row_terms[0]
                 row.drift += abs(e_now - row.e_prev - dt * diss)
                 if sampled:
@@ -349,6 +413,7 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
             k += 1
         if len(keep) < len(rows):
             rows, u, v, au = [rows[r] for r in keep], u[keep], v[keep], au[keep]
+            history = [vm[keep] for vm in history]
             if rows:
                 stepper = Stepper(domain, [params[row.index] for row in rows], cfg)
     for row in rows:

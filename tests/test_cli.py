@@ -375,6 +375,14 @@ def test_repeated_vary_key_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_with_no_damped_point_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), *FAST, "--vary", "model.omega=0",
+                     "--vary", "model.mu=0"]) == 1
+    assert "no damped point to run" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _documented_settings():
     """(source, key) of each --set and --vary item that the answer cases and
     the sh blocks of README.md pass."""

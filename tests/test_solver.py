@@ -345,11 +345,13 @@ def test_series_rows_match_public_functions(dom, n_steps, csr_stiffness):
         assert outcome.kind == "completed"
 
         stepper = dw.Stepper(dom, [params], cfg)
-        states = [initial]
+        states, history = [initial], []
         for _ in range(n_steps):
             prev = states[-1]
             u = prev.u.values[None]
-            (u, v), stats = stepper.advance(u, prev.v.values[None], stepper.a(u))
+            (u, v), stats = stepper.advance(u, prev.v.values[None], stepper.a(u),
+                                            solver.start_guess(history))
+            history.append(stats.vm)
             vm = 0.5 * (prev.v.values + v[0])
             want = -omega * w * (vm @ (a @ vm)) - mu * w * (vm @ vm)
             (diss,) = stats.midpoint_dissipation
@@ -392,6 +394,82 @@ def test_midpoint_dissipation_is_nonpositive(rows):
     v = np.array([v for _, v, _ in rows])
     _, stats = stepper.advance(u, v, stepper.a(u))
     assert all(diss <= 0.0 for diss in stats.midpoint_dissipation)
+
+
+# a start guess: factor * the step's midpoint velocity from v, plus an offset
+GUESS = st.tuples(st.sampled_from([0.0, 1.0, 10.0]), NODE_VALUES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(NODE_VALUES, NODE_VALUES, DAMPING, GUESS),
+                     min_size=1, max_size=3),
+       amp=st.floats(min_value=0.0, max_value=60.0), p=st.sampled_from([3.0, 4.0, 5.0]))
+def test_any_start_guess_keeps_the_picard_tolerance(rows, amp, p):
+    """From any guess, a row that converges from v converges, within
+    PICARD_TOL of the step's fixed point wherever the contraction bound ended
+    it, and rounds in a stack as it does alone.
+
+    Amplitudes up to 60 reach contraction constants near 1/2, where a guess
+    far from vm can fail and the row falls back to v;
+    `test_a_failed_guess_falls_back_to_v` checks that path directly."""
+    dom, cfg = dw.interval(1.0, 3), dw.StepConfig(dt=5e-3)
+    stack = []
+    for u, v, (omega, mu), (factor, offset) in rows:
+        params = dw.ModelParams(omega=omega, mu=mu, p=p)
+        stepper = dw.Stepper(dom, [params], cfg)
+        u, v = amp * np.array([u]), amp * np.array([v])
+        au = stepper.a(u)
+        try:
+            _, plain = stepper.advance(u, v, au)
+        except solver.StepFailure:
+            continue
+        guess = factor * plain.vm + amp * np.array([offset])
+        _, stats = stepper.advance(u, v, au, guess)
+        if stats.contraction[0] < math.inf:
+            step_map, fixed = _midpoint_map(stepper, u, v, au), stats.vm
+            for _ in range(200):
+                fixed, prev = step_map(fixed), fixed
+                if (fixed == prev).all():
+                    break
+            scale = max(1.0, np.abs(stats.vm).max())
+            assert np.abs(stats.vm - fixed).max() <= solver.PICARD_TOL * scale
+        stack.append((params, u[0], v[0], guess[0], stats))
+    if not stack:
+        return
+    params, u, v, guess, solo = zip(*stack)
+    stepper = dw.Stepper(dom, params, cfg)
+    u = np.array(u)
+    _, stats = stepper.advance(u, np.array(v), stepper.a(u), np.array(guess))
+    assert stats.row_iters == [s.row_iters[0] for s in solo]
+    assert stats.vm.tobytes() == np.concatenate([s.vm for s in solo]).tobytes()
+
+
+def test_a_failed_guess_falls_back_to_v(dom63):
+    """A row whose guess turns non-finite steps from v, charged the solve it
+    spent on the guess; the other row keeps its guess."""
+    params = [dw.ModelParams(omega=0.1, mu=1.0, p=4.0)] * 2
+    stepper = dw.Stepper(dom63, params, dw.StepConfig(dt=5e-3))
+    u = np.array([0.5, 2.0])[:, None] * mesh.eigenmode(dom63).values
+    v = np.zeros_like(u)
+    au = stepper.a(u)
+    (u_v, v_v), plain = stepper.advance(u, v, au)
+    guess = plain.vm.copy()
+    guess[0, 7] = math.inf
+    (u_g, v_g), stats = stepper.advance(u, v, au, guess)
+    assert u_g[0].tobytes() == u_v[0].tobytes() and v_g[0].tobytes() == v_v[0].tobytes()
+    assert stats.row_iters[0] == plain.row_iters[0] + 1
+    assert stats.row_iters[1] == 1 < plain.row_iters[1]  # certified by its first solve
+
+
+def test_extrapolated_start_takes_under_1_5_solves_per_step():
+    """A decaying 2D run certifies most steps from their first solve."""
+    dom = dw.rectangle((1.5, 1.0), (23, 15))
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    cfg = dw.StepConfig(dt=5e-3)
+    state = dw.SimState.rest(dw.GridField(dom, 2.0 * mesh.eigenmode(dom).values))
+    _, outcome = dw.run(state, params, cfg, 200 * cfg.dt)
+    assert outcome.kind == "completed"
+    assert outcome.linear_solves / 200 < 1.5
 
 
 @pytest.mark.parametrize("field", ["u", "v"])

@@ -8,8 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import dampedwave as dw
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,27 +79,35 @@ def test_runtime_imports_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_tracer_counts_the_step_loop():
+def test_tracer_counts_the_step_loop(monkeypatch):
     """The benchmark's per-layer hook sees every step, solve and sample of `run`."""
     dom = dw.interval(1.0, 63)
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     cfg = dw.StepConfig(dt=5e-3)
     u0 = 2.0 * dw.mesh.eigenmode(dom).values
-    stepper = dw.Stepper(dom, [params], cfg)
-    u, v, iters = u0[None], np.zeros((1, dom.size)), 0
-    for _ in range(20):
-        (u, v), stats = stepper.advance(u, v, stepper.a(u))
-        iters += stats.picard_iters
+    solves = []  # one entry per call of the midpoint solve
+    shifted_solver = dw.mesh.shifted_solver
+
+    def counting_solver(*args):
+        solve = shifted_solver(*args)
+
+        def counted(rhs):
+            solves.append(len(rhs))
+            return solve(rhs)
+        return counted
+    monkeypatch.setattr(dw.mesh, "shifted_solver", counting_solver)
 
     tracer = _load_perfbench("tracing").Tracer()
     tracer.install()
     try:
-        dw.run(dw.SimState.rest(dw.GridField(dom, u0)), params, cfg, 20 * cfg.dt)
+        _, outcome = dw.run(dw.SimState.rest(dw.GridField(dom, u0)), params, cfg,
+                            20 * cfg.dt)
     finally:
         tracer.uninstall()
     metrics = tracer.pass_metrics(0)
     assert metrics["solver.advance_calls"] == 20
-    assert metrics["solver.linear_solves"] == iters >= 20
+    assert metrics["solver.linear_solves"] == outcome.linear_solves >= 20
+    assert outcome.linear_solves == len(solves)
     assert metrics["series.rows"] == 21
 
 
@@ -112,13 +118,6 @@ def test_tracer_counts_the_stacked_step_loop():
     cfg = dw.StepConfig(dt=5e-3)
     params = [dw.ModelParams(omega=omega, mu=1.0, p=4.0) for omega in (0.0, 0.1, 1.0)]
     u0s = [scale * dw.mesh.eigenmode(dom).values for scale in (0.5, 2.0, 3.0)]
-    iters = 0
-    for prm, u0 in zip(params, u0s):
-        stepper = dw.Stepper(dom, [prm], cfg)
-        u, v = u0[None], np.zeros((1, dom.size))
-        for _ in range(20):
-            (u, v), stats = stepper.advance(u, v, stepper.a(u))
-            iters += stats.picard_iters
 
     tracer = _load_perfbench("tracing").Tracer()
     tracer.install()
@@ -130,6 +129,7 @@ def test_tracer_counts_the_stacked_step_loop():
     metrics = tracer.pass_metrics(0)
     assert [outcome.kind for _, outcome in results] == ["completed"] * 3
     assert metrics["solver.advance_calls"] == 20
+    iters = sum(outcome.linear_solves for _, outcome in results)
     assert metrics["solver.linear_solves"] == iters > 3 * 20
     assert metrics["series.rows"] == sum(len(series) for series, _ in results) == 3 * 21
 

@@ -92,6 +92,7 @@ CASES = [
     ("well-node-ceiling", ["well", "--set", "domain.n=4096"], 1),
     ("sweep-repeated-vary", ["sweep", "--vary", "model.p=3", "--vary", "model.p=4"],
      1),
+    ("sweep-undamped", ["sweep", "--vary", "model.omega=0", "--vary", "model.mu=0"], 1),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b")
