@@ -59,10 +59,11 @@ def test_non_finite_solve_fails_on_first_iteration(dom63, bad):
     out = np.zeros(dom63.size)
     out[7] = bad
     calls = _stub_solve(stepper, [out])
-    zeros = np.zeros((1, dom63.size))
-    with pytest.raises(solver.StepFailure, match="non-finite"):
-        stepper.advance(zeros, zeros, zeros)
-    assert len(calls) == 1
+    u, v = np.full((1, dom63.size), 0.5), np.full((1, dom63.size), -0.25)
+    (u_new, v_new), stats = stepper.advance(u, v, np.zeros_like(u))
+    assert stats.failures == ["midpoint solve produced non-finite values"]
+    assert len(calls) == 1 == stats.row_iters[0]
+    assert u_new.tobytes() == u.tobytes() and v_new.tobytes() == v.tobytes()
 
 
 def test_overflowing_picard_change_is_not_non_finite(dom63):
@@ -71,10 +72,11 @@ def test_overflowing_picard_change_is_not_non_finite(dom63):
                          dw.StepConfig(dt=1e-2))
     calls = _stub_solve(stepper, [np.full(dom63.size, 1e308),
                                   np.full(dom63.size, -1e308)])
-    zeros = np.zeros((1, dom63.size))
-    with pytest.raises(solver.StepFailure, match="stalled"):
-        stepper.advance(zeros, zeros, zeros)
-    assert len(calls) == solver.PICARD_MAX
+    u, v = np.full((1, dom63.size), 0.5), np.full((1, dom63.size), -0.25)
+    (u_new, v_new), stats = stepper.advance(u, v, np.zeros_like(u))
+    assert stats.failures == [f"Picard stalled after {solver.PICARD_MAX} iterations"]
+    assert len(calls) == solver.PICARD_MAX == stats.row_iters[0]
+    assert u_new.tobytes() == u.tobytes() and v_new.tobytes() == v.tobytes()
 
 
 def _midpoint_map(stepper, u, v, au):
@@ -411,7 +413,8 @@ def test_any_start_guess_keeps_the_picard_tolerance(rows, amp, p):
 
     Amplitudes up to 60 reach contraction constants near 1/2, where a guess
     far from vm can fail and the row falls back to v;
-    `test_a_failed_guess_falls_back_to_v` checks that path directly."""
+    `test_a_failed_guess_falls_back_to_v` and
+    `test_a_stalled_guess_falls_back_to_v` check those paths directly."""
     dom, cfg = dw.interval(1.0, 3), dw.StepConfig(dt=5e-3)
     stack = []
     for u, v, (omega, mu), (factor, offset) in rows:
@@ -419,12 +422,12 @@ def test_any_start_guess_keeps_the_picard_tolerance(rows, amp, p):
         stepper = dw.Stepper(dom, [params], cfg)
         u, v = amp * np.array([u]), amp * np.array([v])
         au = stepper.a(u)
-        try:
-            _, plain = stepper.advance(u, v, au)
-        except solver.StepFailure:
+        _, plain = stepper.advance(u, v, au)
+        if plain.failures[0] is not None:
             continue
         guess = factor * plain.vm + amp * np.array([offset])
         _, stats = stepper.advance(u, v, au, guess)
+        assert stats.failures[0] is None
         if stats.contraction[0] < math.inf:
             step_map, fixed = _midpoint_map(stepper, u, v, au), stats.vm
             for _ in range(200):
@@ -441,6 +444,7 @@ def test_any_start_guess_keeps_the_picard_tolerance(rows, amp, p):
     u = np.array(u)
     _, stats = stepper.advance(u, np.array(v), stepper.a(u), np.array(guess))
     assert stats.row_iters == [s.row_iters[0] for s in solo]
+    assert stats.failures == [s.failures[0] for s in solo]
     assert stats.vm.tobytes() == np.concatenate([s.vm for s in solo]).tobytes()
 
 
@@ -459,6 +463,75 @@ def test_a_failed_guess_falls_back_to_v(dom63):
     assert u_g[0].tobytes() == u_v[0].tobytes() and v_g[0].tobytes() == v_v[0].tobytes()
     assert stats.row_iters[0] == plain.row_iters[0] + 1
     assert stats.row_iters[1] == 1 < plain.row_iters[1]  # certified by its first solve
+
+
+def test_a_stalled_guess_falls_back_to_v(dom63):
+    """A row whose guess stalls for PICARD_MAX solves starts again from v and
+    converges there, charged every solve it spent."""
+    stepper = dw.Stepper(dom63, [dw.ModelParams(omega=0.1, mu=1.0, p=4.0)],
+                         dw.StepConfig(dt=1e-2))
+    stall = [np.full(dom63.size, (-1.0) ** k * 1e308) for k in range(solver.PICARD_MAX)]
+    fixed = np.full(dom63.size, 0.125)
+    calls = _stub_solve(stepper, stall + [fixed] * 3)
+    u, v = np.full((1, dom63.size), 0.5), np.full((1, dom63.size), -0.25)
+    (u_new, v_new), stats = stepper.advance(u, v, np.zeros_like(u), np.full_like(v, 3.0))
+    assert stats.failures == [None]
+    assert len(calls) == solver.PICARD_MAX + 2 == stats.row_iters[0]
+    assert stats.vm.tobytes() == fixed[None].tobytes()
+    assert v_new.tobytes() == (2.0 * fixed - v).tobytes()
+
+
+def test_one_advance_ends_each_row_as_its_solo_step(dom63):
+    """In one pass, a row that converges from its guess, a row whose guess
+    turns non-finite and a row that fails from v each end as they do alone.
+
+    The middle row rests, so from v its first solve passes the contraction
+    bound, which it does only if the fallback restarts its |vm|_inf too."""
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    cfg = dw.StepConfig(dt=5e-3)
+    solo_stepper = dw.Stepper(dom63, [params], cfg)
+    a = solo_stepper.a
+    u = np.array([0.5, 0.0, 1e3])[:, None] * mesh.eigenmode(dom63).values
+    v = 0.1 * u
+    stepper = dw.Stepper(dom63, [params] * 3, cfg)
+    _, plain = stepper.advance(u, v, a(u))
+    guess = plain.vm.copy()
+    guess[1, 7] = math.inf
+    guess[2] = v[2]
+    (u1, v1), stats = stepper.advance(u, v, a(u), guess)
+    assert stats.failures[:2] == [None, None] and stats.failures[2] is not None
+    assert stats.row_iters[:2] == [1, plain.row_iters[1] + 1] == [1, 2]
+    assert stats.contraction[1] == plain.contraction[1] < math.inf
+    assert u1[2].tobytes() == u[2].tobytes() and v1[2].tobytes() == v[2].tobytes()
+    for r in range(3):
+        ur = u[r:r + 1]
+        (ur, vr), solo = solo_stepper.advance(ur, v[r:r + 1], a(ur), guess[r:r + 1])
+        assert ur.tobytes() == u1[r].tobytes() and vr.tobytes() == v1[r].tobytes()
+        assert solo.vm.tobytes() == stats.vm[r].tobytes()
+        assert solo.row_iters == [stats.row_iters[r]]
+        assert solo.failures == [stats.failures[r]]
+
+
+def test_run_many_advances_once_per_step_when_a_row_fails(dom63, monkeypatch):
+    """A row that fails a step leaves the stack in that step's pass; the
+    survivors are not stepped again."""
+    calls = []
+    advance = dw.Stepper.advance
+
+    def counted(self, u, *args):
+        calls.append(len(u))
+        return advance(self, u, *args)
+    monkeypatch.setattr(dw.Stepper, "advance", counted)
+    params = dw.ModelParams(omega=0.0, mu=1.0, p=4.0)
+    cfg = dw.StepConfig(dt=5e-3)
+    phi = mesh.eigenmode(dom63).values
+    states = [dw.SimState.rest(dw.GridField(dom63, amp * phi)) for amp in (0.5, 20.0)]
+    (_, calm), (_, failed) = dw.run_many(states, [params] * 2, cfg, 40 * cfg.dt)
+    assert calm.kind == "completed"
+    assert failed.kind == "blew_up" and "non-finite" in failed.details
+    stacked = round(failed.T / cfg.dt) + 1  # the steps up to the failed one
+    assert 1 < stacked < 40
+    assert calls == [2] * stacked + [1] * (40 - stacked)
 
 
 def test_extrapolated_start_takes_under_1_5_solves_per_step():

@@ -85,6 +85,10 @@ CASES = [
                          "--set", "run.horizon=0.5",
                          "--vary", "init.kind=stable,unstable",
                          "--vary", "init.fraction=0.5,1.5"], 0),
+    # the unstable rows fail their first step in a stack with surviving rows
+    ("sweep-first-step-failure", ["sweep", "--set", "model.p=1500",
+                                  "--vary", "init.kind=stable,unstable",
+                                  "--vary", "model.omega=0,0.1"], 0),
     # exit code and stderr only
     ("run-bad-p", ["run", "--set", "model.p=2.0"], 1),
     ("run-step-ceiling", ["run", "--set", "run.horizon=1e12"], 1),
