@@ -3,7 +3,7 @@
 `energy_terms` is the one place that evaluates I, J and E, for a stack of
 rows; `total_energy` applies it to one state.  The dissipation
 -omega ||grad u_t||^2 - mu ||u_t||^2 of the energy identity is evaluated
-at each step's midpoint by `solver.Stepper.advance`.
+at each step's midpoint by `solver.Stepper.dissipation`.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import numpy as np
 COLUMNS = ("t", "E", "I", "J", "L", "kinetic", "grad_sq", "lp_p", "l2_v", "grad_v_sq")
 _INDEX = {name: i for i, name in enumerate(COLUMNS)}
 _ROW_FORMAT = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+CSV_CHUNK_ROWS = 256  # rows formatted per write
 
 
 class TimeSeries:
@@ -44,10 +45,11 @@ class TimeSeries:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(COLUMNS) + "\n")
-            # row by row: one list of Python floats for the whole buffer
-            # would cost several times the buffer's own memory
-            for row in self._buf[:self._n]:
-                fh.write(_ROW_FORMAT % tuple(row.tolist()))
+            # a chunk of rows per write: one list of Python floats for the
+            # whole buffer would cost several times the buffer's own memory
+            for start in range(0, self._n, CSV_CHUNK_ROWS):
+                chunk = self._buf[start:min(start + CSV_CHUNK_ROWS, self._n)]
+                fh.write((_ROW_FORMAT * len(chunk)) % tuple(chunk.ravel().tolist()))
 
     @classmethod
     def from_arrays(cls, **cols) -> "TimeSeries":

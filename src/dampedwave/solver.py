@@ -25,7 +25,9 @@ take one solve.
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
 its one-row case.  A step that fails is a per-row result of the one
 `advance` pass (`StepStats.failures`), and the row leaves the stack in the
-same pass over the rows as a monitor or threshold ending.
+same pass over the rows as a monitor or threshold ending.  The diagnostics
+that cannot end a row, the midpoint dissipation and the sample's v @ u and
+v @ A v, are evaluated once per block of steps (`_fold`).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ PICARD_MAX = 50  # Picard iterations before a step fails
 POLE_RTOL = 1e-9  # T_max search stops at this bracket width over its upper end
 MAX_STEPS = 10**7  # most steps of one run; its series grows with the steps
 HISTORY = 5  # midpoint velocities behind the quartic start guess of a step
+BLOCK_VALUES = 4096  # node values (32 KiB) a block of steps holds before it is folded
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -70,8 +73,6 @@ class StepConfig:
 @dataclass(frozen=True)
 class StepStats:
     row_iters: list[int]  # linear solves per row, a fallback from its guess included
-    # dissipation identity evaluated at the midpoint, one per row
-    midpoint_dissipation: list[float]
     # per row, the contraction constant rho that ended the row's iteration,
     # or inf where the test on the change alone ended it
     contraction: list[float]
@@ -223,17 +224,25 @@ class Stepper:
                         busy -= 1
                 if busy and busy < busy_was:
                     fixed = np.array(ended, dtype=bool)
-        diss = [omega_w * grad_sq - mu_w * sq
-                for (omega_w, mu_w), grad_sq, sq in zip(
-                    self._damping, mesh.row_dots(vm, self.a(vm)),
-                    mesh.row_dots(vm, vm))]
         u_new, v_new = u + dt * vm, 2.0 * vm - v
         failed = [r for r, failure in enumerate(failures) if failure]
         if failed:
             u_new[failed], v_new[failed] = u[failed], v[failed]
         return (u_new, v_new), StepStats(
             row_iters=[s + i for s, i in zip(spent, solves)],
-            midpoint_dissipation=diss, contraction=rho, vm=vm, failures=failures)
+            contraction=rho, vm=vm, failures=failures)
+
+    def dissipation(self, vm: np.ndarray) -> list[float]:
+        """-omega |grad vm|^2 - mu |vm|^2, the dissipation identity at the
+        midpoint, for each row of a (B K, size) stack of B steps' midpoint
+        velocities; row j is under the parameters of stack row j mod K.
+
+        Each row is reduced on its own, so it rounds as it does alone.
+        """
+        damping = self._damping * (len(vm) // len(self._damping))
+        return [omega_w * grad_sq - mu_w * sq
+                for (omega_w, mu_w), grad_sq, sq in zip(
+                    damping, mesh.row_dots(vm, self.a(vm)), mesh.row_dots(vm, vm))]
 
 
 def start_guess(history: Sequence[np.ndarray]) -> np.ndarray | None:
@@ -280,47 +289,84 @@ class _Row:
         self.drift = 0.0
         self.solves = 0
 
-    def record(self, terms: tuple, vu: float, vav: float, w: float) -> None:
-        """Append one sample row from the step's `energy_terms` of this row.
+    def record(self, t: float, terms: tuple, vu: float, vav: float, w: float) -> None:
+        """Append the sample at time t from its `energy_terms` of this row.
 
-        `vu` is v @ u and `vav` is v @ A v for the row's current state.
+        `vu` is v @ u and `vav` is v @ A v for the row's state at t.
         """
         E, I, J, kinetic, grad_sq, lp_p, l2_v = terms
         eps = self.monitors.epsilon
         ell = E + eps * (w * vu)
         if self.omega > 0:
             ell += 0.5 * eps * self.omega * grad_sq
-        self.series.append(self.t, E, I, J, ell, kinetic, grad_sq, lp_p, l2_v,
+        self.series.append(t, E, I, J, ell, kinetic, grad_sq, lp_p, l2_v,
                            max(w * vav, 0.0))
 
-    def end(self, kind: str, details: str = "", t_max_estimate: float | None = None
-            ) -> tuple[TimeSeries, RunOutcome]:
-        """This row's result, ended now with outcome `kind`."""
-        return self.series, RunOutcome(kind=kind, T=self.t, details=details,
-                                       t_max_estimate=t_max_estimate,
-                                       energy_drift=self.drift,
-                                       linear_solves=self.solves)
-
-    def check(self, terms: tuple) -> tuple[TimeSeries, RunOutcome] | None:
-        """The result that ends this row at a sample, if any."""
+    def verdict(self, terms: tuple) -> tuple[str, str] | None:
+        """The (kind, details) that end this row at a sample, from its terms."""
         e_now, i_now, _, _, grad_sq, lp_p, l2_v = terms
         t, monitors = self.t, self.monitors
         if (monitors.nehari_invariance
                 and i_now < -scale_invariant_tol(grad_sq, lp_p)):
-            return self.end("monitor_violation",
-                            f"Nehari invariance lost: I={i_now} at t={t}")
+            return "monitor_violation", f"Nehari invariance lost: I={i_now} at t={t}"
         if monitors.grad_bound and grad_sq > self.grad_cap:
-            return self.end("monitor_violation",
-                            f"gradient bound exceeded: {grad_sq} > {self.grad_cap}")
+            return ("monitor_violation",
+                    f"gradient bound exceeded: {grad_sq} > {self.grad_cap}")
         if monitors.energy_monotone and e_now > self.e_prev + self.energy_tol:
-            return self.end("monitor_violation",
-                            f"energy increased beyond tolerance at t={t}")
+            return "monitor_violation", f"energy increased beyond tolerance at t={t}"
         norm = math.sqrt(grad_sq) + math.sqrt(l2_v)
         if norm > BLOWUP_NORM_THRESHOLD:
-            # the sample just recorded crosses the threshold, so an estimate exists
-            return self.end("blew_up", f"divergence norm {norm:.3e} crossed threshold",
-                            detect_blowup(self.series))
+            return "blew_up", f"divergence norm {norm:.3e} crossed threshold"
         return None
+
+    def end(self, kind: str, details: str = ""
+            ) -> tuple[TimeSeries, RunOutcome] | StepFailure:
+        """This row's result, ended now with outcome `kind`, on its full series.
+
+        After a failed step (`kind` "failed", `details` the failure) the row
+        has blown up if its series shows growth, and otherwise ends in the
+        StepFailure.
+        """
+        est = None
+        if kind in ("blew_up", "failed"):
+            # a threshold ending's last sample crosses it, so an estimate exists
+            est = detect_blowup(self.series, step_failed=kind == "failed")
+            if est is None:
+                return StepFailure(details)
+            kind = "blew_up"
+        return self.series, RunOutcome(kind=kind, T=self.t, details=details,
+                                       t_max_estimate=est, energy_drift=self.drift,
+                                       linear_solves=self.solves)
+
+
+def _fold(rows: list[_Row], block: list, stepper: Stepper, dt: float,
+          w: float) -> None:
+    """Evaluate a block's deferred diagnostics over its stacked arrays and fold
+    them into each row's drift and series, in step order.
+
+    Each entry of `block` is one step: its (K, size) midpoint velocities, the
+    sampled (u, v) or None, and per row (E - e_prev, t, terms), or None where
+    the row's step failed.
+    """
+    n = len(rows)
+    diss = stepper.dissipation(np.concatenate([vm for vm, _, _ in block]))
+    samples = [sample for _, sample, _ in block if sample is not None]
+    if samples:
+        us = np.concatenate([u for u, _ in samples])
+        vs = np.concatenate([v for _, v in samples])
+        vus, vavs = mesh.row_dots(vs, us), mesh.row_dots(vs, stepper.a(vs))
+    i = j = 0  # the first rows of this step in diss and in the samples
+    for _, sample, steps in block:
+        for r, (row, step) in enumerate(zip(rows, steps)):
+            if step is not None:
+                de, t, terms = step
+                row.drift += abs(de - dt * diss[i + r])
+                if sample is not None:
+                    row.record(t, terms, vus[j + r], vavs[j + r], w)
+        i += n
+        if sample is not None:
+            j += n
+    block.clear()
 
 
 def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
@@ -335,9 +381,12 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     the step they computed, so each step is one `advance` call.  A horizon
     of more than MAX_STEPS steps raises ValueError.
 
-    The energy is evaluated once per step on raw arrays; the drift, the
-    monitors and the sampled row all share that evaluation, and its A @ u
-    also serves the next step.  Each step starts its Picard iteration from
+    The energy is evaluated once per step on raw arrays; the monitors, the
+    divergence norm and the drift share that evaluation, and its A @ u also
+    serves the next step.  The midpoint dissipation and the sample's v @ u
+    and A @ v wait in a block of steps and are evaluated once per block
+    (`_fold`), before any row ends, when the block holds BLOCK_VALUES node
+    values and at the horizon.  Each step starts its Picard iteration from
     `start_guess` of the stack's last HISTORY midpoint velocities.
     """
     if horizon <= 0:
@@ -363,47 +412,51 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
                 zip(states, params, monitors, terms))]
     for row, row_terms, vu, vav in zip(rows, terms, mesh.row_dots(v, u),
                                        mesh.row_dots(v, a(v))):
-        row.record(row_terms, vu, vav, w)
+        row.record(row.t, row_terms, vu, vav, w)
     results: list = [None] * len(states)
     history: list[np.ndarray] = []  # the last HISTORY midpoint velocities
+    block: list = []  # the steps not yet folded, see `_fold`
+    held = 0  # node values the block holds
 
-    k = 1
-    while rows and k <= n_steps:
+    for k in range(1, n_steps + 1):
         (u, v), stats = stepper.advance(u, v, au, start_guess(history))
         history.append(stats.vm)
         del history[:-HISTORY]
         au = a(u)
         terms = energy_terms(u, au, v, w, p)
         sampled = k % stride == 0 or k == n_steps
-        if sampled:
-            vus, vavs = mesh.row_dots(v, u), mesh.row_dots(v, a(v))
-        keep = []
-        for r, (row, row_terms, diss, iters, failure) in enumerate(
-                zip(rows, terms, stats.midpoint_dissipation, stats.row_iters,
-                    stats.failures)):
+        steps, endings = [], []
+        for r, (row, row_terms, iters, failure) in enumerate(
+                zip(rows, terms, stats.row_iters, stats.failures)):
             if failure is not None:
-                est = detect_blowup(row.series, step_failed=True)
-                results[row.index] = (StepFailure(failure) if est is None
-                                      else row.end("blew_up", failure, est))
+                steps.append(None)
+                endings.append((r, "failed", failure))
                 continue
             row.t += dt
             row.solves += iters
             e_now = row_terms[0]
-            row.drift += abs(e_now - row.e_prev - dt * diss)
-            if sampled:
-                row.record(row_terms, vus[r], vavs[r], w)
-                ended = row.check(row_terms)
-                if ended is not None:
-                    results[row.index] = ended
-                    continue
+            steps.append((e_now - row.e_prev, row.t, row_terms))
+            ending = row.verdict(row_terms) if sampled else None
+            if ending is not None:
+                endings.append((r, *ending))
             row.e_prev = e_now
-            keep.append(r)
-        k += 1
-        if len(keep) < len(rows):
+        block.append((stats.vm, (u, v) if sampled else None, steps))
+        held += stats.vm.size + (u.size + v.size if sampled else 0)
+        if endings or held >= BLOCK_VALUES:
+            _fold(rows, block, stepper, dt, w)
+            held = 0
+        if endings:
+            for r, kind, details in endings:
+                results[rows[r].index] = rows[r].end(kind, details)
+            ended = {r for r, _, _ in endings}
+            keep = [r for r in range(len(rows)) if r not in ended]
             rows, u, v, au = [rows[r] for r in keep], u[keep], v[keep], au[keep]
             history = [vm[keep] for vm in history]
-            if rows:
-                stepper = Stepper(domain, [params[row.index] for row in rows], cfg)
+            if not rows:
+                break
+            stepper = Stepper(domain, [params[row.index] for row in rows], cfg)
+    if block:
+        _fold(rows, block, stepper, dt, w)
     for row in rows:
         results[row.index] = row.end("completed")
     return results

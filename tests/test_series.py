@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dampedwave.series import COLUMNS, TimeSeries
+from dampedwave.series import COLUMNS, CSV_CHUNK_ROWS, TimeSeries
 
 
 def _samples(k, rng):
@@ -63,3 +63,16 @@ def test_to_csv_bytes_match_hand_formatting(tmp_path, rng):
     lines += [",".join(f"{float(x):.17g}" for x in row) for row in data]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
+
+
+@pytest.mark.parametrize("k", [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                               2 * CSV_CHUNK_ROWS + 7])
+def test_to_csv_chunks_write_every_row_once(tmp_path, rng, k):
+    """Rows written a chunk at a time, empty, partial and full chunks alike."""
+    data = _samples(max(k, 1), rng)[:k]
+    series = TimeSeries.from_arrays(**{name: data[:, j] for j, name in enumerate(COLUMNS)})
+    path = tmp_path / "series.csv"
+    series.to_csv(path)
+    lines = [",".join(COLUMNS)]
+    lines += [",".join(f"{float(x):.17g}" for x in row) for row in data]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import dampedwave as dw
 from dampedwave import mesh, solver
+from dampedwave.functionals import energy_terms
 from dampedwave.series import COLUMNS, TimeSeries
+from dampedwave.well import scale_invariant_tol
 
 
 def test_step_config_validation():
@@ -356,7 +358,7 @@ def test_series_rows_match_public_functions(dom, n_steps, csr_stiffness):
             history.append(stats.vm)
             vm = 0.5 * (prev.v.values + v[0])
             want = -omega * w * (vm @ (a @ vm)) - mu * w * (vm @ vm)
-            (diss,) = stats.midpoint_dissipation
+            (diss,) = stepper.dissipation(stats.vm)
             assert diss == pytest.approx(want, rel=1e-12, abs=0)
             states.append(dw.SimState(prev.t + cfg.dt, dw.GridField(dom, u[0]),
                                       dw.GridField(dom, v[0])))
@@ -395,7 +397,7 @@ def test_midpoint_dissipation_is_nonpositive(rows):
     u = np.array([u for u, _, _ in rows])
     v = np.array([v for _, v, _ in rows])
     _, stats = stepper.advance(u, v, stepper.a(u))
-    assert all(diss <= 0.0 for diss in stats.midpoint_dissipation)
+    assert all(diss <= 0.0 for diss in stepper.dissipation(stats.vm))
 
 
 # a start guess: factor * the step's midpoint velocity from v, plus an offset
@@ -604,14 +606,16 @@ def test_stack_rows_equal_their_solo_runs(dom63, wc63_p4):
     u = np.array([s.u.values for s in states])
     v = np.array([s.v.values for s in states])
     a = mesh.stiffness(dom63)
-    (u1, v1), stats = dw.Stepper(dom63, params, cfg).advance(u, v, a(u))
+    stepper = dw.Stepper(dom63, params, cfg)
+    (u1, v1), stats = stepper.advance(u, v, a(u))
+    diss = stepper.dissipation(stats.vm)
     iters = []
     for k, (state, prm) in enumerate(zip(states, params)):
         uk = state.u.values[None]
-        (uk, vk), solo = dw.Stepper(dom63, [prm], cfg).advance(
-            uk, state.v.values[None], a(uk))
+        solo_stepper = dw.Stepper(dom63, [prm], cfg)
+        (uk, vk), solo = solo_stepper.advance(uk, state.v.values[None], a(uk))
         assert uk.tobytes() == u1[k].tobytes() and vk.tobytes() == v1[k].tobytes()
-        assert solo.midpoint_dissipation == [stats.midpoint_dissipation[k]]
+        assert solo_stepper.dissipation(solo.vm) == [diss[k]]
         iters.append(solo.picard_iters)
     assert len(set(iters)) > 1
     assert stats.picard_iters == sum(iters)
@@ -641,6 +645,148 @@ def test_rectangle_stack_rows_equal_their_solo_runs():
     # the last row fails its first step, before any growth shows
     assert isinstance(batch[-1], solver.StepFailure)
     assert {got[1].kind for got in batch[:-1]} == {"completed", "blew_up"}
+
+
+def _per_step_reference(state, params, cfg, horizon, monitors):
+    """One trajectory stepped by hand, every diagnostic evaluated at its own
+    step: what `run` returns for it, or the StepFailure that ends it."""
+    dom = state.u.domain
+    stepper = dw.Stepper(dom, [params], cfg)
+    a, w, p, dt = stepper.a, dom.weight, params.p, cfg.dt
+    n_steps = solver.step_count(horizon, dt)
+    stride = 1 if dom.size <= solver.SAMPLE_EVERY_STEP_MAX_NODES else 10
+    t, u, v = state.t, state.u.values[None], state.v.values[None]
+    series, drift, solves, history = TimeSeries(), 0.0, 0, []
+
+    def sample(terms):
+        E, I, J, kinetic, grad_sq, lp_p, l2_v = terms
+        ell = E + monitors.epsilon * (w * float(np.vdot(v, u)))
+        if params.omega > 0:
+            ell += 0.5 * monitors.epsilon * params.omega * grad_sq
+        series.append(t, E, I, J, ell, kinetic, grad_sq, lp_p, l2_v,
+                      max(w * float(np.vdot(v, a(v))), 0.0))
+
+    def outcome(kind, details="", est=None):
+        return series, dw.RunOutcome(kind=kind, T=t, details=details,
+                                     t_max_estimate=est, energy_drift=drift,
+                                     linear_solves=solves)
+
+    au = a(u)
+    (terms,) = energy_terms(u, au, v, w, p)
+    e_prev = terms[0]
+    grad_cap = (2.0 * p / (p - 2.0)) * e_prev * (1.0 + 1e-6)
+    energy_tol = solver.ENERGY_TOL_COEFF * dt**3 * max(1.0, abs(e_prev))
+    sample(terms)
+    for k in range(1, n_steps + 1):
+        (u1, v1), stats = stepper.advance(u, v, au, solver.start_guess(history))
+        history.append(stats.vm)
+        (failure,) = stats.failures
+        if failure is not None:
+            est = dw.detect_blowup(series, step_failed=True)
+            return solver.StepFailure(failure) if est is None else outcome(
+                "blew_up", failure, est)
+        (diss,) = stepper.dissipation(stats.vm)
+        t, u, v, solves = t + dt, u1, v1, solves + stats.picard_iters
+        au = a(u)
+        (terms,) = energy_terms(u, au, v, w, p)
+        E, I, _, _, grad_sq, lp_p, l2_v = terms
+        drift += abs(E - e_prev - dt * diss)
+        if k % stride == 0 or k == n_steps:
+            sample(terms)
+            if monitors.nehari_invariance and I < -scale_invariant_tol(grad_sq, lp_p):
+                return outcome("monitor_violation",
+                               f"Nehari invariance lost: I={I} at t={t}")
+            if monitors.grad_bound and grad_sq > grad_cap:
+                return outcome("monitor_violation",
+                               f"gradient bound exceeded: {grad_sq} > {grad_cap}")
+            if monitors.energy_monotone and E > e_prev + energy_tol:
+                return outcome("monitor_violation",
+                               f"energy increased beyond tolerance at t={t}")
+            norm = math.sqrt(grad_sq) + math.sqrt(l2_v)
+            if norm > solver.BLOWUP_NORM_THRESHOLD:
+                return outcome("blew_up", f"divergence norm {norm:.3e} crossed threshold",
+                               dw.detect_blowup(series))
+        e_prev = E
+    return outcome("completed")
+
+
+# domain, p, dt, steps, and per row: (omega, mu), u0 and v0 as multiples of
+# the first eigenmode, whether the Nehari monitor is armed, and how it ends
+BLOCK_CASES = {
+    "interval": (dw.interval(1.0, 63), 4.0, 5e-4, 97, [
+        ((0.0, 1.0), 2000.0, 0.0, False, "StepFailure"),  # at step 1
+        ((0.0, 1.0), 320.0, 0.0, False, "crossed threshold"),  # at step 10
+        ((0.1, 1.0), 160.0, 0.0, False, "non-finite"),  # at step 21
+        ((0.0, 1.0), 0.0, 320.0, True, "Nehari"),  # at step 23
+        ((0.1, 1.0), 0.5, 0.3, True, "completed"),
+    ]),
+    # 345 nodes: sampled every 10th step, and at the last, step 73
+    "rectangle": (dw.rectangle((1.5, 1.0), (23, 15)), 3.0, 2e-3, 73, [
+        ((0.0, 1.0), 6400.0, 0.0, False, "non-finite"),  # at step 16
+        ((0.0, 1.0), 1600.0, 0.0, False, "crossed threshold"),  # at step 30
+        ((0.0, 1.0), 0.0, 200.0, True, "Nehari"),  # at step 60
+        ((0.1, 1.0), 1.0, 0.5, True, "completed"),
+    ]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block_values", [0, 1000, solver.BLOCK_VALUES, 10**9])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
+                                                             monkeypatch):
+    """Rows that end by a failed step, by the threshold and by a monitor
+    inside a block of deferred diagnostics, at a horizon that is no multiple
+    of the block: each row equals its solo run and the hand-stepped
+    reference bit for bit, from blocks of one step to one block for the run.
+
+    At the default BLOCK_VALUES the interval stack of 5, 4, 3 and 2 rows
+    folds every 5, 6, 8 and 11 steps, so its endings after step 1 fall
+    inside blocks."""
+    dom, p, dt, n_steps, rows = BLOCK_CASES[case]
+    cfg, horizon = dw.StepConfig(dt=dt), n_steps * dt
+    phi = mesh.eigenmode(dom).values
+    params = [dw.ModelParams(omega=om, mu=mu, p=p) for (om, mu), *_ in rows]
+    states = [dw.SimState(0.0, dw.GridField(dom, a * phi), dw.GridField(dom, b * phi))
+              for _, a, b, _, _ in rows]
+    monitors = [dw.MonitorSet(epsilon=0.1, nehari_invariance=armed)
+                for _, _, _, armed, _ in rows]
+    monkeypatch.setattr(solver, "BLOCK_VALUES", block_values)
+    batch = dw.run_many(states, params, cfg, horizon, monitors)
+    for state, prm, mon, got, (*_, ending) in zip(states, params, monitors, batch, rows):
+        want = _per_step_reference(state, prm, cfg, horizon, mon)
+        _assert_rows_equal(got, want)
+        _assert_rows_equal(_solo(state, prm, cfg, horizon, mon), want)
+        if ending == "StepFailure":
+            assert isinstance(got, solver.StepFailure)
+        elif ending == "completed":
+            assert got[1].kind == "completed" and len(got[0]) > 1
+        else:
+            assert ending in got[1].details
+
+
+def test_a_run_takes_about_one_stiffness_product_per_step(dom63, monkeypatch):
+    """A @ u is the one product per step; A vm and A v wait for the block."""
+    products = []
+    stiffness = mesh.stiffness
+
+    def counted(domain):
+        apply = stiffness(domain)
+
+        def product(x):
+            products.append(len(x))
+            return apply(x)
+        return product
+    monkeypatch.setattr(mesh, "stiffness", counted)
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    state = dw.SimState.rest(dw.GridField(dom63, 0.5 * mesh.eigenmode(dom63).values))
+    _, outcome = dw.run(state, params, dw.StepConfig(dt=5e-3), 400 * 5e-3)
+    assert outcome.kind == "completed"
+    # a step holds vm, u and v: 189 node values, so a block is 22 steps
+    per_block = math.ceil(solver.BLOCK_VALUES / (3 * dom63.size))
+    assert per_block == 22
+    # A u and A v at t = 0, A u per step, A vm and A v per block
+    assert len(products) == 2 + 400 + 2 * math.ceil(400 / per_block) == 440
 
 
 def test_stack_rows_must_share_p_and_domain(dom63):
