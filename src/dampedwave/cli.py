@@ -111,8 +111,6 @@ def parse(table: dict[str, str]) -> Experiment:
     params = ModelParams(omega=_float(table, "model.omega"),
                          mu=_float(table, "model.mu"), p=_float(table, "model.p"))
     horizon = _float(table, "run.horizon")
-    if horizon <= 0:
-        raise ConfigError("run.horizon must be positive")
     step = solver.StepConfig(dt=_float(table, "step.dt"))
     try:
         solver.step_count(horizon, step.dt)

@@ -145,21 +145,16 @@ def stiffness(domain: Domain):
     result equals a CSR matrix-vector product bit for bit.  A (K, size)
     stack is mapped row by row.
     """
-    # The nodes run along the first axis of x.T, both for one field and for
-    # the columns of a transposed (K, size) stack, so one set of slices
-    # serves both.
     if domain.dim == 1:
         (h,) = domain.h
         c, o = 2.0 / h**2, -1.0 / h**2
 
         def apply(x: np.ndarray) -> np.ndarray:
-            xt = x.T
-            xo = o * xt
+            xo = o * x
             y = np.zeros(x.shape)
-            yt = y.T
-            yt[1:] += xo[:-1]
-            yt += c * xt
-            yt[:-1] += xo[1:]
+            y[..., 1:] += xo[..., :-1]
+            y += c * x
+            y[..., :-1] += xo[..., 1:]
             return y
         return apply
 
@@ -168,20 +163,18 @@ def stiffness(domain: Domain):
     ox, oy = -1.0 / hx**2, -1.0 / hy**2
 
     def apply(x: np.ndarray) -> np.ndarray:
-        xt = x.T
-        xx = ox * xt
+        xx = ox * x
         # flat shifts by one wrap between grid lines: blank the wrapped terms
-        north = oy * xt
-        south = north.copy(order="K")
-        south[ny - 1::ny] = 0.0  # j = ny - 1
-        north[::ny] = 0.0  # j = 0
+        north = oy * x
+        south = north.copy()
+        south[..., ny - 1::ny] = 0.0  # j = ny - 1
+        north[..., ::ny] = 0.0  # j = 0
         y = np.zeros(x.shape)
-        yt = y.T
-        yt[ny:] += xx[:-ny]
-        yt[1:] += south[:-1]
-        yt += c * xt
-        yt[:-1] += north[1:]
-        yt[:-ny] += xx[ny:]
+        y[..., ny:] += xx[..., :-ny]
+        y[..., 1:] += south[..., :-1]
+        y += c * x
+        y[..., :-1] += north[..., 1:]
+        y[..., :-ny] += xx[..., ny:]
         return y
     return apply
 

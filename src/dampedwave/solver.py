@@ -25,9 +25,9 @@ take one solve.
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
 its one-row case.  A step that fails is a per-row result of the one
 `advance` pass (`StepStats.failures`), and the row leaves the stack in the
-same pass over the rows as a monitor or threshold ending.  The diagnostics
-that cannot end a row, the midpoint dissipation and the sample's v @ u and
-v @ A v, are evaluated once per block of steps (`_fold`).
+same pass over the rows as a monitor, threshold or horizon ending.  The
+diagnostics that cannot end a row, the midpoint dissipation and the sample's
+v @ u and v @ A v, are evaluated once per block of steps (`_fold`).
 """
 
 from __future__ import annotations
@@ -264,7 +264,10 @@ def start_guess(history: Sequence[np.ndarray]) -> np.ndarray | None:
 
 
 def step_count(horizon: float, dt: float) -> int:
-    """round(horizon/dt), at least 1; ValueError when it exceeds MAX_STEPS."""
+    """round(horizon/dt), at least 1; ValueError when the horizon is not
+    positive or the count exceeds MAX_STEPS."""
+    if not horizon > 0:  # NaN too
+        raise ValueError("horizon must be positive")
     steps = horizon / dt
     if not steps <= MAX_STEPS:  # inf and NaN too
         raise ValueError(f"horizon/dt = {steps:.6g} exceeds the ceiling of "
@@ -377,9 +380,10 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
 
     Returns per row what `run` returns for that row alone, bit for bit: its
     (series, outcome), or the StepFailure that ended it.  A row leaves the
-    stack when it fails a step, trips a monitor or blows up; the others keep
-    the step they computed, so each step is one `advance` call.  A horizon
-    of more than MAX_STEPS steps raises ValueError.
+    stack when it fails a step, trips a monitor, blows up or reaches the
+    horizon, all in the one pass over the rows that follows each `advance`
+    call; the others keep the step they computed.  A horizon that is not
+    positive or of more than MAX_STEPS steps raises ValueError.
 
     The energy is evaluated once per step on raw arrays; the monitors, the
     divergence norm and the drift share that evaluation, and its A @ u also
@@ -389,8 +393,6 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     values and at the horizon.  Each step starts its Picard iteration from
     `start_guess` of the stack's last HISTORY midpoint velocities.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     n_steps = step_count(horizon, cfg.dt)
     if monitors is None:
         monitors = [None] * len(states)
@@ -437,6 +439,8 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
             e_now = row_terms[0]
             steps.append((e_now - row.e_prev, row.t, row_terms))
             ending = row.verdict(row_terms) if sampled else None
+            if ending is None and k == n_steps:
+                ending = "completed", ""
             if ending is not None:
                 endings.append((r, *ending))
             row.e_prev = e_now
@@ -455,10 +459,6 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
             if not rows:
                 break
             stepper = Stepper(domain, [params[row.index] for row in rows], cfg)
-    if block:
-        _fold(rows, block, stepper, dt, w)
-    for row in rows:
-        results[row.index] = row.end("completed")
     return results
 
 

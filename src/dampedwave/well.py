@@ -239,9 +239,8 @@ def prepare_initial_data(domain: Domain, params: ModelParams, wc: WellConstants,
         raise InfeasibleTargetError(
             f"target {level} {target_j} above peak {j_max} of this shape")
     rising = kind == "stable"  # J rises on [0, lam_star] and falls past it
+    # J(2 lam_star) = g lam_star^2 (2 - 2^p/p) < 0 < target_j for p > 2
     lo, hi = (0.0, lam_star) if rising else (lam_star, 2.0 * lam_star)
-    while not rising and j_of(hi) > target_j:
-        hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # no float left between the ends

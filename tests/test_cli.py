@@ -268,13 +268,15 @@ def test_every_key_is_checked_before_output(tmp_path, capsys):
 
 
 def _field_file(tmp_path, flaw):
-    """A 15-node interval field file that is missing, holds a NaN or is cut short."""
+    """A 15-node interval field file that is missing, holds a NaN, is cut
+    short or lies on an interval of another length."""
     path = tmp_path / f"{flaw}.txt"
     values = np.linspace(0.1, 1.5, 15)
     if flaw == "nan":
         values[3] = np.nan
     if flaw != "missing":
-        mesh.write_field(path, mesh.GridField(dw.interval(1.0, 15), values))
+        dom = dw.interval(2.0 if flaw == "other" else 1.0, 15)
+        mesh.write_field(path, mesh.GridField(dom, values))
     if flaw == "truncated":
         path.write_text("".join(path.read_text().splitlines(True)[:8]))
     return path
@@ -290,11 +292,12 @@ def _field_file(tmp_path, flaw):
     ("run", ["init.kind=file", "init.file={nan}"], "NaN or Inf"),
     ("sweep", ["init.kind=file", "init.file={nan}"], "NaN or Inf"),
     ("run", ["init.kind=file", "init.file={truncated}"], "7 values"),
+    ("run", ["init.kind=file", "init.file={other}"], "does not match config"),
 ])
 def test_bad_initial_data_exits_1_and_writes_nothing(tmp_path, capsys, command,
                                                      settings, message):
     files = {flaw: _field_file(tmp_path, flaw)
-             for flaw in ("missing", "nan", "truncated")}
+             for flaw in ("missing", "nan", "truncated", "other")}
     out = tmp_path / "out"
     argv = [command, "--out", str(out), "--set", "domain.n=15",
             "--set", "run.horizon=0.2"]
@@ -372,6 +375,17 @@ def test_repeated_vary_key_exits_1(tmp_path, capsys):
                      "--vary", "model.p=4"]) == 1
     assert capsys.readouterr().err == (
         "config error: --vary model.p: key given twice\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("vary,message", [
+    (["--vary", "model.mu="], "--vary model.mu: empty value list"),
+    ([], "sweep needs at least one --vary"),
+])
+def test_sweep_with_nothing_to_vary_exits_1(tmp_path, capsys, vary, message):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), *FAST, *vary]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

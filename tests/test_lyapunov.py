@@ -82,6 +82,11 @@ class TestSelectConstants:
         with pytest.raises(lyapunov.HypothesesUnmetError):
             dw.select_constants(wc63_p4.d * 1.01, params, wc63_p4)
 
+    def test_rejects_negative_energy(self):
+        params = dw.ModelParams(omega=0.0, mu=1.0, p=4.0)
+        with pytest.raises(lyapunov.HypothesesUnmetError, match="negative"):
+            dw.select_constants(-1e-3, params, WC_UNIT)
+
     def test_mu_zero_path(self, wc63_p4):
         params = dw.ModelParams(omega=0.5, mu=0.0, p=4.0)
         cert = dw.select_constants(0.3 * wc63_p4.d, params, wc63_p4)
@@ -166,6 +171,16 @@ class TestCertifyDecay:
         cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
                                          epsilon=0.5, beta1=0.5, beta2=0.5)
         with pytest.raises(lyapunov.SeriesDataError):
+            dw.certify_decay(synthetic_series(t, e), cert)
+
+    def test_short_series_and_nonpositive_window_rejected(self):
+        cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
+                                         epsilon=0.5, beta1=0.5, beta2=0.5)
+        with pytest.raises(ValueError, match="too short"):
+            dw.certify_decay(synthetic_series(np.zeros(1), np.ones(1)), cert)
+        # E(0) = 0 puts the fit floor at 0, so the window is the whole series
+        t, e = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.5])
+        with pytest.raises(lyapunov.SeriesDataError, match="inside the fit window"):
             dw.certify_decay(synthetic_series(t, e), cert)
 
 

@@ -485,17 +485,18 @@ def test_a_stalled_guess_falls_back_to_v(dom63):
 
 def test_one_advance_ends_each_row_as_its_solo_step(dom63):
     """In one pass, a row that converges from its guess, a row whose guess
-    turns non-finite and a row that fails from v each end as they do alone.
+    turns non-finite and a row that fails from v, each under its own damping,
+    end as they do alone, and so does each row's midpoint dissipation.
 
     The middle row rests, so from v its first solve passes the contraction
     bound, which it does only if the fallback restarts its |vm|_inf too."""
-    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    params = [dw.ModelParams(omega=om, mu=mu, p=4.0)
+              for om, mu in ((0.1, 1.0), (1.0, 0.0), (0.0, 0.5))]
     cfg = dw.StepConfig(dt=5e-3)
-    solo_stepper = dw.Stepper(dom63, [params], cfg)
-    a = solo_stepper.a
+    a = mesh.stiffness(dom63)
     u = np.array([0.5, 0.0, 1e3])[:, None] * mesh.eigenmode(dom63).values
     v = 0.1 * u
-    stepper = dw.Stepper(dom63, [params] * 3, cfg)
+    stepper = dw.Stepper(dom63, params, cfg)
     _, plain = stepper.advance(u, v, a(u))
     guess = plain.vm.copy()
     guess[1, 7] = math.inf
@@ -503,15 +504,18 @@ def test_one_advance_ends_each_row_as_its_solo_step(dom63):
     (u1, v1), stats = stepper.advance(u, v, a(u), guess)
     assert stats.failures[:2] == [None, None] and stats.failures[2] is not None
     assert stats.row_iters[:2] == [1, plain.row_iters[1] + 1] == [1, 2]
+    assert stats.picard_iters == sum(stats.row_iters)
     assert stats.contraction[1] == plain.contraction[1] < math.inf
     assert u1[2].tobytes() == u[2].tobytes() and v1[2].tobytes() == v[2].tobytes()
-    for r in range(3):
-        ur = u[r:r + 1]
+    diss = stepper.dissipation(stats.vm)
+    for r, prm in enumerate(params):
+        ur, solo_stepper = u[r:r + 1], dw.Stepper(dom63, [prm], cfg)
         (ur, vr), solo = solo_stepper.advance(ur, v[r:r + 1], a(ur), guess[r:r + 1])
         assert ur.tobytes() == u1[r].tobytes() and vr.tobytes() == v1[r].tobytes()
         assert solo.vm.tobytes() == stats.vm[r].tobytes()
         assert solo.row_iters == [stats.row_iters[r]]
         assert solo.failures == [stats.failures[r]]
+        assert solo_stepper.dissipation(solo.vm) == [diss[r]]
 
 
 def test_run_many_advances_once_per_step_when_a_row_fails(dom63, monkeypatch):
@@ -578,75 +582,6 @@ def _solo(state, params, cfg, horizon, monitors):
         return failure
 
 
-def test_stack_rows_equal_their_solo_runs(dom63, wc63_p4):
-    """Rows leave by step failure, by a monitor and at the horizon; all match."""
-    cfg = dw.StepConfig(dt=4e-3)
-    eps = 0.05
-    armed = dw.MonitorSet(wc=wc63_p4, epsilon=eps, nehari_invariance=True,
-                          grad_bound=True, energy_monotone=True)
-    rows = [  # (omega, mu), initial data, monitors
-        ((0.1, 1.0), ("stable", 0.5), armed),
-        ((0.0, 0.5), ("stable", 0.9), armed),
-        ((0.0, 1.0), ("unstable", 0.9), None),
-        ((0.1, 1.0), ("unstable", 0.5), armed),
-        ((1.0, 0.0), ("stable", 0.3), dw.MonitorSet(epsilon=eps)),
-        ((0.1, 0.5), ("unstable", 0.7), None),
-    ]
-    params = [dw.ModelParams(omega=om, mu=mu, p=4.0) for (om, mu), _, _ in rows]
-    states = []
-    for prm, (_, target, _) in zip(params, rows):
-        u0, u1 = dw.prepare_initial_data(dom63, prm, wc63_p4, target)
-        states.append(dw.SimState(0.0, u0, u1))
-    # give two rows a velocity so that the first step's Picard counts differ
-    for k in (1, 4):
-        v0 = states[k].u.values + 0.3 * mesh.eigenmode(dom63, (3,)).values
-        states[k] = dw.SimState(0.0, states[k].u, dw.GridField(dom63, v0))
-    monitors = [mon for _, _, mon in rows]
-
-    u = np.array([s.u.values for s in states])
-    v = np.array([s.v.values for s in states])
-    a = mesh.stiffness(dom63)
-    stepper = dw.Stepper(dom63, params, cfg)
-    (u1, v1), stats = stepper.advance(u, v, a(u))
-    diss = stepper.dissipation(stats.vm)
-    iters = []
-    for k, (state, prm) in enumerate(zip(states, params)):
-        uk = state.u.values[None]
-        solo_stepper = dw.Stepper(dom63, [prm], cfg)
-        (uk, vk), solo = solo_stepper.advance(uk, state.v.values[None], a(uk))
-        assert uk.tobytes() == u1[k].tobytes() and vk.tobytes() == v1[k].tobytes()
-        assert solo_stepper.dissipation(solo.vm) == [diss[k]]
-        iters.append(solo.picard_iters)
-    assert len(set(iters)) > 1
-    assert stats.picard_iters == sum(iters)
-
-    batch = dw.run_many(states, params, cfg, 1.0, monitors)
-    kinds = set()
-    for state, prm, mon, got in zip(states, params, monitors, batch):
-        _assert_rows_equal(got, _solo(state, prm, cfg, 1.0, mon))
-        kinds.add(got[1].kind)
-    assert kinds == {"completed", "blew_up", "monitor_violation"}
-    assert "non-finite" in batch[2][1].details  # left by a failed step
-
-
-def test_rectangle_stack_rows_equal_their_solo_runs():
-    dom = dw.rectangle((1.5, 1.0), (23, 15))
-    cfg = dw.StepConfig(dt=5e-3)
-    phi, psi = mesh.eigenmode(dom).values, mesh.eigenmode(dom, (2, 1)).values
-    rows = [((0.1, 1.0), 0.5, 0.0), ((0.0, 1.0), 2.0, 0.3), ((1.0, 0.5), 1.0, -0.2),
-            ((0.0, 0.1), 10.0, 0.0), ((0.0, 0.1), 30.0, 0.0), ((0.0, 0.1), 60.0, 0.0)]
-    params = [dw.ModelParams(omega=om, mu=mu, p=4.0) for (om, mu), _, _ in rows]
-    states = [dw.SimState(0.0, dw.GridField(dom, a * phi), dw.GridField(dom, b * psi))
-              for _, a, b in rows]
-    monitors = [dw.MonitorSet(epsilon=0.1)] * len(rows)
-    batch = dw.run_many(states, params, cfg, 0.3, monitors)
-    for state, prm, mon, got in zip(states, params, monitors, batch):
-        _assert_rows_equal(got, _solo(state, prm, cfg, 0.3, mon))
-    # the last row fails its first step, before any growth shows
-    assert isinstance(batch[-1], solver.StepFailure)
-    assert {got[1].kind for got in batch[:-1]} == {"completed", "blew_up"}
-
-
 def _per_step_reference(state, params, cfg, horizon, monitors):
     """One trajectory stepped by hand, every diagnostic evaluated at its own
     step: what `run` returns for it, or the StepFailure that ends it."""
@@ -710,22 +645,32 @@ def _per_step_reference(state, params, cfg, horizon, monitors):
     return outcome("completed")
 
 
-# domain, p, dt, steps, and per row: (omega, mu), u0 and v0 as multiples of
-# the first eigenmode, whether the Nehari monitor is armed, and how it ends
+# domain, p, dt, steps, and per row: (omega, mu), u0 as a multiple of the
+# first eigenmode, v0 as (multiple, eigenmode), the monitors armed (Nehari,
+# gradient bound, energy monotone), and how and at which step the row ends
+# (a StepFailure carries no time, so its step is not checked)
 BLOCK_CASES = {
     "interval": (dw.interval(1.0, 63), 4.0, 5e-4, 97, [
-        ((0.0, 1.0), 2000.0, 0.0, False, "StepFailure"),  # at step 1
-        ((0.0, 1.0), 320.0, 0.0, False, "crossed threshold"),  # at step 10
-        ((0.1, 1.0), 160.0, 0.0, False, "non-finite"),  # at step 21
-        ((0.0, 1.0), 0.0, 320.0, True, "Nehari"),  # at step 23
-        ((0.1, 1.0), 0.5, 0.3, True, "completed"),
+        ((0.0, 1.0), 2000.0, (0.0, (1,)), "", ("StepFailure", "non-finite", 1)),
+        ((0.0, 1.0), 320.0, (0.0, (1,)), "", ("blew_up", "crossed threshold", 10)),
+        ((0.1, 1.0), 160.0, (0.0, (1,)), "", ("blew_up", "non-finite", 21)),
+        ((0.0, 1.0), 0.0, (320.0, (1,)), "n", ("monitor_violation", "Nehari", 23)),
+        ((0.1, 1.0), 0.5, (0.3, (1,)), "nge", ("completed", "", 97)),
+    ]),
+    "interval-p6": (dw.interval(1.0, 31), 6.0, 1e-2, 41, [
+        ((0.0, 1e-3), 0.0, (50.0, (5,)), "nge", ("monitor_violation", "energy", 16)),
+        ((0.0, 1.0), 0.5, (12.0, (1,)), "g", ("monitor_violation", "gradient", 30)),
+        ((1.0, 0.0), 0.3, (0.3, (3,)), "nge", ("completed", "", 41)),
+        ((0.1, 1.0), 0.5, (0.3, (1,)), "nge", ("completed", "", 41)),
     ]),
     # 345 nodes: sampled every 10th step, and at the last, step 73
     "rectangle": (dw.rectangle((1.5, 1.0), (23, 15)), 3.0, 2e-3, 73, [
-        ((0.0, 1.0), 6400.0, 0.0, False, "non-finite"),  # at step 16
-        ((0.0, 1.0), 1600.0, 0.0, False, "crossed threshold"),  # at step 30
-        ((0.0, 1.0), 0.0, 200.0, True, "Nehari"),  # at step 60
-        ((0.1, 1.0), 1.0, 0.5, True, "completed"),
+        ((0.0, 1.0), 3e5, (0.0, (1, 1)), "", ("StepFailure", "non-finite", 1)),
+        ((0.0, 1.0), 6400.0, (0.0, (1, 1)), "", ("blew_up", "non-finite", 16)),
+        ((0.0, 1.0), 1600.0, (0.0, (1, 1)), "", ("blew_up", "crossed threshold", 30)),
+        ((0.0, 1.0), 0.0, (200.0, (1, 1)), "n", ("monitor_violation", "Nehari", 60)),
+        ((1.0, 0.5), 1.0, (-0.2, (2, 1)), "nge", ("completed", "", 73)),
+        ((0.1, 1.0), 1.0, (0.5, (1, 1)), "nge", ("completed", "", 73)),
     ]),
 }
 
@@ -735,10 +680,11 @@ BLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
                                                              monkeypatch):
-    """Rows that end by a failed step, by the threshold and by a monitor
-    inside a block of deferred diagnostics, at a horizon that is no multiple
-    of the block: each row equals its solo run and the hand-stepped
-    reference bit for bit, from blocks of one step to one block for the run.
+    """Every way a stacked row can end: a failed first step, a failed step
+    with growth, the threshold, each monitor and the horizon, which is no
+    multiple of the block.  Each row equals its solo run and the
+    hand-stepped reference bit for bit, from blocks of one step to one block
+    for the run.
 
     At the default BLOCK_VALUES the interval stack of 5, 4, 3 and 2 rows
     folds every 5, 6, 8 and 11 steps, so its endings after step 1 fall
@@ -747,22 +693,25 @@ def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
     cfg, horizon = dw.StepConfig(dt=dt), n_steps * dt
     phi = mesh.eigenmode(dom).values
     params = [dw.ModelParams(omega=om, mu=mu, p=p) for (om, mu), *_ in rows]
-    states = [dw.SimState(0.0, dw.GridField(dom, a * phi), dw.GridField(dom, b * phi))
-              for _, a, b, _, _ in rows]
-    monitors = [dw.MonitorSet(epsilon=0.1, nehari_invariance=armed)
-                for _, _, _, armed, _ in rows]
+    states = [dw.SimState(0.0, dw.GridField(dom, a * phi),
+                          dw.GridField(dom, b * mesh.eigenmode(dom, mode).values))
+              for _, a, (b, mode), _, _ in rows]
+    monitors = [dw.MonitorSet(epsilon=0.1, nehari_invariance="n" in armed,
+                              grad_bound="g" in armed, energy_monotone="e" in armed)
+                for *_, armed, _ in rows]
     monkeypatch.setattr(solver, "BLOCK_VALUES", block_values)
     batch = dw.run_many(states, params, cfg, horizon, monitors)
-    for state, prm, mon, got, (*_, ending) in zip(states, params, monitors, batch, rows):
+    for state, prm, mon, got, row in zip(states, params, monitors, batch, rows):
         want = _per_step_reference(state, prm, cfg, horizon, mon)
         _assert_rows_equal(got, want)
         _assert_rows_equal(_solo(state, prm, cfg, horizon, mon), want)
-        if ending == "StepFailure":
-            assert isinstance(got, solver.StepFailure)
-        elif ending == "completed":
-            assert got[1].kind == "completed" and len(got[0]) > 1
-        else:
-            assert ending in got[1].details
+        kind, words, step = row[-1]
+        if kind == "StepFailure":
+            assert isinstance(got, solver.StepFailure) and words in str(got)
+            continue
+        series, outcome = got
+        assert outcome.kind == kind and words in outcome.details
+        assert round(outcome.T / dt) == step and len(series) > 1
 
 
 def test_a_run_takes_about_one_stiffness_product_per_step(dom63, monkeypatch):
@@ -812,3 +761,16 @@ def test_run_many_rejects_a_step_count_past_the_ceiling(dom63, horizon, dt):
 def test_step_count_allows_the_ceiling_and_takes_at_least_one_step():
     assert solver.step_count(solver.MAX_STEPS * 0.5, 0.5) == solver.MAX_STEPS
     assert solver.step_count(0.1, 1.0) == 1
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_step_count_rejects_a_horizon_that_is_not_positive(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        solver.step_count(horizon, 1e-2)
+
+
+def test_run_many_needs_params_for_every_state(dom63):
+    rest = dw.SimState.rest(dw.GridField.zeros(dom63))
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    with pytest.raises(ValueError, match="one ModelParams"):
+        dw.run_many([rest, rest], [params], dw.StepConfig(dt=1e-2), 0.1)
