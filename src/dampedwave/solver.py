@@ -23,11 +23,12 @@ take one solve.
 
 `run_many` steps trajectories that share a domain, dt, horizon and p as one
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
-its one-row case.  A step that fails is a per-row result of the one
-`advance` pass (`StepStats.failures`), and the row leaves the stack in the
-same pass over the rows as a monitor, threshold or horizon ending.  The
-diagnostics that cannot end a row, the midpoint dissipation and the sample's
-v @ u and v @ A v, are evaluated once per block of steps (`_fold`).
+its one-row case.  A step is one `advance` call and one A @ u.  The energy,
+the midpoint dissipation and the sample's v @ u and v @ A v are evaluated
+once per block of steps (`_fold`), which then walks each row through the
+block in step order and ends it at its first failed step (a per-row result
+of `advance`, `StepStats.failures`), monitor, threshold or horizon.  A row
+is stepped up to one block past its ending, and those steps are dropped.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ PICARD_MAX = 50  # Picard iterations before a step fails
 POLE_RTOL = 1e-9  # T_max search stops at this bracket width over its upper end
 MAX_STEPS = 10**7  # most steps of one run; its series grows with the steps
 HISTORY = 5  # midpoint velocities behind the quartic start guess of a step
-BLOCK_VALUES = 4096  # node values (32 KiB) a block of steps holds before it is folded
+BLOCK_VALUES = 12288  # node values (96 KiB) a block of steps holds before it is folded
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -251,15 +252,14 @@ def start_guess(history: Sequence[np.ndarray]) -> np.ndarray | None:
     HISTORY are known, the linear one from two, else None (start from v).
 
     Each entry is a (K, size) stack; the combination is elementwise, so each
-    row rounds as it does alone.
+    row rounds as it does alone.  An overflowing guess is non-finite, which
+    `advance` falls back from; `run_many` calls this under np.errstate.
     """
-    # an overflowing guess is non-finite, which `advance` falls back from
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(history) >= HISTORY:
-            h5, h4, h3, h2, h1 = history[-HISTORY:]
-            return h5 + 5.0 * (h1 - h4) + 10.0 * (h3 - h2)
-        if len(history) >= 2:
-            return 2.0 * history[-1] - history[-2]
+    if len(history) >= HISTORY:
+        h5, h4, h3, h2, h1 = history[-HISTORY:]
+        return h5 + 5.0 * (h1 - h4) + 10.0 * (h3 - h2)
+    if len(history) >= 2:
+        return 2.0 * history[-1] - history[-2]
     return None
 
 
@@ -342,34 +342,74 @@ class _Row:
                                        linear_solves=self.solves)
 
 
-def _fold(rows: list[_Row], block: list, stepper: Stepper, dt: float,
-          w: float) -> None:
-    """Evaluate a block's deferred diagnostics over its stacked arrays and fold
-    them into each row's drift and series, in step order.
+def _fold(rows: list[_Row], block: list, stepper: Stepper, stride: int,
+          n_steps: int) -> dict[int, tuple[str, str]]:
+    """Evaluate a block of steps over its stacked arrays, then walk each row
+    through the block's steps in order.  Returns the rows that end, by stack
+    position, with their (kind, details).
 
-    Each entry of `block` is one step: its (K, size) midpoint velocities, the
-    sampled (u, v) or None, and per row (E - e_prev, t, terms), or None where
-    the row's step failed.
+    Each entry of `block` is one step: its index k, its StepStats and the
+    (K, size) u, A u and v it ended on.  One `energy_terms` call and one
+    `Stepper.dissipation` call cover every step of the block; v @ u and
+    v @ A v cover its sampled steps.  At each step a row advances its clock
+    and solve count, adds its drift, records a sampled step and takes its
+    verdict there, and at the horizon completes.  It ends at its first failed
+    step or ending, and its later steps in the block are dropped.
+
+    A row stepped past its ending may have gone non-finite, which makes the
+    stacked `energy_terms` raise CorruptFieldError.  Then each step is
+    evaluated again over the rows that reach it, so the error is raised
+    only where stepping one step at a time raises it.
     """
-    n = len(rows)
-    diss = stepper.dissipation(np.concatenate([vm for vm, _, _ in block]))
-    samples = [sample for _, sample, _ in block if sample is not None]
-    if samples:
-        us = np.concatenate([u for u, _ in samples])
-        vs = np.concatenate([v for _, v in samples])
-        vus, vavs = mesh.row_dots(vs, us), mesh.row_dots(vs, stepper.a(vs))
-    i = j = 0  # the first rows of this step in diss and in the samples
-    for _, sample, steps in block:
-        for r, (row, step) in enumerate(zip(rows, steps)):
-            if step is not None:
-                de, t, terms = step
-                row.drift += abs(de - dt * diss[i + r])
-                if sample is not None:
-                    row.record(t, terms, vus[j + r], vavs[j + r], w)
-        i += n
-        if sample is not None:
+    n, dt, w, p = len(rows), stepper.cfg.dt, stepper.w, stepper.p
+    steps, stats, us, aus, vs = zip(*block)
+    u, au, v = np.concatenate(us), np.concatenate(aus), np.concatenate(vs)
+    try:
+        terms = energy_terms(u, au, v, w, p)
+    except mesh.CorruptFieldError:
+        terms = None
+    diss = stepper.dissipation(np.concatenate([s.vm for s in stats]))
+    sampled = [k % stride == 0 or k == n_steps for k in steps]
+    if any(sampled):
+        if not all(sampled):
+            picked = np.repeat(sampled, n)
+            u, v = u[picked], v[picked]
+        vus, vavs = mesh.row_dots(v, u), mesh.row_dots(v, stepper.a(v))
+    ended: dict[int, tuple[str, str]] = {}
+    j = 0  # the first row of this step in the samples
+    for i, (k, step) in enumerate(zip(steps, stats)):
+        if len(ended) == n:
+            break
+        if terms is None:
+            live = [r for r in range(n) if r not in ended]
+            step_terms = dict(zip(live, energy_terms(
+                us[i][live], aus[i][live], vs[i][live], w, p)))
+        else:
+            step_terms = terms[i * n:(i + 1) * n]
+        for r, (row, iters, failure) in enumerate(
+                zip(rows, step.row_iters, step.failures)):
+            if r in ended:
+                continue
+            if failure is not None:
+                ended[r] = "failed", failure
+                continue
+            row.t += dt
+            row.solves += iters
+            row_terms = step_terms[r]
+            e_now = row_terms[0]
+            row.drift += abs(e_now - row.e_prev - dt * diss[i * n + r])
+            ending = None
+            if sampled[i]:
+                row.record(row.t, row_terms, vus[j + r], vavs[j + r], w)
+                ending = row.verdict(row_terms)
+            if ending is None and k == n_steps:
+                ending = "completed", ""
+            if ending is not None:
+                ended[r] = ending
+            row.e_prev = e_now
+        if sampled[i]:
             j += n
-    block.clear()
+    return ended
 
 
 def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
@@ -379,19 +419,20 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     """Integrate K trajectories that share a domain, dt, horizon and p as one stack.
 
     Returns per row what `run` returns for that row alone, bit for bit: its
-    (series, outcome), or the StepFailure that ended it.  A row leaves the
-    stack when it fails a step, trips a monitor, blows up or reaches the
-    horizon, all in the one pass over the rows that follows each `advance`
-    call; the others keep the step they computed.  A horizon that is not
-    positive or of more than MAX_STEPS steps raises ValueError.
+    (series, outcome), or the StepFailure that ended it.  A row ends when it
+    fails a step, trips a monitor, blows up or reaches the horizon; the
+    others keep the steps they computed.  A horizon that is not positive or
+    of more than MAX_STEPS steps raises ValueError.
 
-    The energy is evaluated once per step on raw arrays; the monitors, the
-    divergence norm and the drift share that evaluation, and its A @ u also
-    serves the next step.  The midpoint dissipation and the sample's v @ u
-    and A @ v wait in a block of steps and are evaluated once per block
-    (`_fold`), before any row ends, when the block holds BLOCK_VALUES node
-    values and at the horizon.  Each step starts its Picard iteration from
-    `start_guess` of the stack's last HISTORY midpoint velocities.
+    Each step calls `Stepper.advance` once, from `start_guess` of the
+    stack's last HISTORY midpoint velocities, and evaluates A @ u, which
+    also serves the next step.  Everything else waits in a block of steps:
+    the energy terms, which the drift, the samples, the monitors and the
+    divergence norm share, the midpoint dissipation, and the sample's v @ u
+    and A @ v.  `_fold` evaluates the block and decides which rows end when
+    it holds BLOCK_VALUES node values, when a row's step fails and at the
+    horizon; the rows it ends leave the stack then.  So a row may be stepped
+    up to one block past its ending, and those steps are thrown away.
     """
     n_steps = step_count(horizon, cfg.dt)
     if monitors is None:
@@ -402,14 +443,14 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     if any(state.u.domain != domain for state in states):
         raise ValueError("the rows of a stack must share a domain")
     stepper = Stepper(domain, params, cfg)
-    a, w, p, dt = stepper.a, stepper.w, stepper.p, cfg.dt
+    a, w, p = stepper.a, stepper.w, stepper.p
     stride = 1 if domain.size <= SAMPLE_EVERY_STEP_MAX_NODES else 10
 
     u = np.array([state.u.values for state in states])
     v = np.array([state.v.values for state in states])
     au = a(u)
     terms = energy_terms(u, au, v, w, p)
-    rows = [_Row(k, state.t, prm, mon or MonitorSet(), row_terms[0], dt)
+    rows = [_Row(k, state.t, prm, mon or MonitorSet(), row_terms[0], cfg.dt)
             for k, (state, prm, mon, row_terms) in enumerate(
                 zip(states, params, monitors, terms))]
     for row, row_terms, vu, vav in zip(rows, terms, mesh.row_dots(v, u),
@@ -418,41 +459,25 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     results: list = [None] * len(states)
     history: list[np.ndarray] = []  # the last HISTORY midpoint velocities
     block: list = []  # the steps not yet folded, see `_fold`
-    held = 0  # node values the block holds
 
-    for k in range(1, n_steps + 1):
-        (u, v), stats = stepper.advance(u, v, au, start_guess(history))
-        history.append(stats.vm)
-        del history[:-HISTORY]
-        au = a(u)
-        terms = energy_terms(u, au, v, w, p)
-        sampled = k % stride == 0 or k == n_steps
-        steps, endings = [], []
-        for r, (row, row_terms, iters, failure) in enumerate(
-                zip(rows, terms, stats.row_iters, stats.failures)):
-            if failure is not None:
-                steps.append(None)
-                endings.append((r, "failed", failure))
+    # overflow is expected in a guess, which `advance` falls back from, and
+    # in a row stepped past its ending, whose steps `_fold` drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            (u, v), stats = stepper.advance(u, v, au, start_guess(history))
+            history.append(stats.vm)
+            del history[:-HISTORY]
+            au = a(u)
+            block.append((k, stats, u, au, v))
+            if (4 * u.size * len(block) < BLOCK_VALUES and k < n_steps
+                    and not any(stats.failures)):
                 continue
-            row.t += dt
-            row.solves += iters
-            e_now = row_terms[0]
-            steps.append((e_now - row.e_prev, row.t, row_terms))
-            ending = row.verdict(row_terms) if sampled else None
-            if ending is None and k == n_steps:
-                ending = "completed", ""
-            if ending is not None:
-                endings.append((r, *ending))
-            row.e_prev = e_now
-        block.append((stats.vm, (u, v) if sampled else None, steps))
-        held += stats.vm.size + (u.size + v.size if sampled else 0)
-        if endings or held >= BLOCK_VALUES:
-            _fold(rows, block, stepper, dt, w)
-            held = 0
-        if endings:
-            for r, kind, details in endings:
+            ended = _fold(rows, block, stepper, stride, n_steps)
+            block = []
+            if not ended:
+                continue
+            for r, (kind, details) in ended.items():
                 results[rows[r].index] = rows[r].end(kind, details)
-            ended = {r for r, _, _ in endings}
             keep = [r for r in range(len(rows)) if r not in ended]
             rows, u, v, au = [rows[r] for r in keep], u[keep], v[keep], au[keep]
             history = [vm[keep] for vm in history]

@@ -165,12 +165,13 @@ class TestCertifyDecay:
             assert (want is None) == (trial % 4 == 0)
             assert dw.certify_decay(series, cert, tol).violated_at == want
 
-    def test_nonpositive_energy_rejected(self):
+    def test_energy_below_the_fit_floor_at_once_rejected(self):
         t = np.array([0.0, 1.0, 2.0])
         e = np.array([1.0, -0.5, 0.2])
         cert = lyapunov.DecayCertificate(delta=1.0, eta=0.5, M=0.5,
                                          epsilon=0.5, beta1=0.5, beta2=0.5)
-        with pytest.raises(lyapunov.SeriesDataError):
+        with pytest.raises(lyapunov.SeriesDataError,
+                           match="fell below the fit floor immediately"):
             dw.certify_decay(synthetic_series(t, e), cert)
 
     def test_short_series_and_nonpositive_window_rejected(self):

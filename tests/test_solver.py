@@ -686,9 +686,12 @@ def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
     hand-stepped reference bit for bit, from blocks of one step to one block
     for the run.
 
-    At the default BLOCK_VALUES the interval stack of 5, 4, 3 and 2 rows
-    folds every 5, 6, 8 and 11 steps, so its endings after step 1 fall
-    inside blocks."""
+    At the default BLOCK_VALUES a block of the interval stack of 4, 3 and 2
+    rows holds up to 13, 17 and 25 steps, and a failed step folds it early:
+    its blocks end at steps 1, 11, 22, 47, 96 and 97.  So the threshold row
+    (step 10) and the Nehari row (step 23) end inside blocks and are stepped
+    past their endings, as is the interval-p6 energy row (step 16, in the
+    block of steps 1 to 25)."""
     dom, p, dt, n_steps, rows = BLOCK_CASES[case]
     cfg, horizon = dw.StepConfig(dt=dt), n_steps * dt
     phi = mesh.eigenmode(dom).values
@@ -714,6 +717,60 @@ def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
         assert round(outcome.T / dt) == step and len(series) > 1
 
 
+def test_a_step_past_a_rows_ending_cannot_raise(dom63, monkeypatch):
+    """A row whose steps after its threshold step return a non-finite u, in
+    the same block and with no failure, still ends at the threshold and the
+    other row equals its solo run.  A row that reaches such a step raises
+    CorruptFieldError, as stepping one step at a time does."""
+    dt = 5e-4
+    cfg, horizon, phi = dw.StepConfig(dt=dt), 40 * dt, mesh.eigenmode(dom63).values
+    params = [dw.ModelParams(omega=0.0, mu=1.0, p=4.0),
+              dw.ModelParams(omega=0.1, mu=1.0, p=4.0)]
+    states = [dw.SimState.rest(dw.GridField(dom63, 320.0 * phi)),
+              dw.SimState(0.0, dw.GridField(dom63, 0.5 * phi),
+                          dw.GridField(dom63, 0.3 * phi))]
+    monitors = [None, dw.MonitorSet(epsilon=0.1, nehari_invariance=True,
+                                    grad_bound=True, energy_monotone=True)]
+    solo = [_solo(state, prm, cfg, horizon, mon)
+            for state, prm, mon in zip(states, params, monitors)]
+    # two rows hold 504 node values a step, so steps 1 to 25 are one block
+    assert 10 < solver.BLOCK_VALUES / 504 <= 25
+    advance, stacks, corrupt = dw.Stepper.advance, [], [0]
+
+    def corrupting(self, u, *args):
+        (u, v), stats = advance(self, u, *args)
+        stacks.append(len(u))
+        if len(stacks) > 10 and len(u) == 2:  # past the threshold step, 10
+            (r,) = corrupt
+            u[r] = math.nan
+            stats.failures[r] = None
+        return (u, v), stats
+    monkeypatch.setattr(dw.Stepper, "advance", corrupting)
+    blown, calm = dw.run_many(states, params, cfg, horizon, monitors)
+    assert stacks[10] == 2  # step 11 was taken past the ending
+    (_, outcome), (_, calm_outcome) = blown, calm
+    assert outcome.kind == "blew_up" and "crossed threshold" in outcome.details
+    assert round(outcome.T / dt) == 10 and calm_outcome.kind == "completed"
+    _assert_rows_equal(blown, solo[0])
+    _assert_rows_equal(calm, solo[1])
+
+    corrupt[0], stacks[:] = 1, []
+    with pytest.raises(mesh.CorruptFieldError):
+        dw.run_many(states, params, cfg, horizon, monitors)
+
+
+def _decaying_run(dom63):
+    """A 400-step run on dom63 that completes."""
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    state = dw.SimState.rest(dw.GridField(dom63, 0.5 * mesh.eigenmode(dom63).values))
+    _, outcome = dw.run(state, params, dw.StepConfig(dt=5e-3), 400 * 5e-3)
+    assert outcome.kind == "completed"
+
+
+# a step holds u, A u, v and vm: 252 node values on dom63, so a block is 49 steps
+STEPS_PER_BLOCK = 49
+
+
 def test_a_run_takes_about_one_stiffness_product_per_step(dom63, monkeypatch):
     """A @ u is the one product per step; A vm and A v wait for the block."""
     products = []
@@ -727,15 +784,24 @@ def test_a_run_takes_about_one_stiffness_product_per_step(dom63, monkeypatch):
             return apply(x)
         return product
     monkeypatch.setattr(mesh, "stiffness", counted)
-    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
-    state = dw.SimState.rest(dw.GridField(dom63, 0.5 * mesh.eigenmode(dom63).values))
-    _, outcome = dw.run(state, params, dw.StepConfig(dt=5e-3), 400 * 5e-3)
-    assert outcome.kind == "completed"
-    # a step holds vm, u and v: 189 node values, so a block is 22 steps
-    per_block = math.ceil(solver.BLOCK_VALUES / (3 * dom63.size))
-    assert per_block == 22
+    _decaying_run(dom63)
+    assert math.ceil(solver.BLOCK_VALUES / (4 * dom63.size)) == STEPS_PER_BLOCK
     # A u and A v at t = 0, A u per step, A vm and A v per block
-    assert len(products) == 2 + 400 + 2 * math.ceil(400 / per_block) == 440
+    assert len(products) == 2 + 400 + 2 * math.ceil(400 / STEPS_PER_BLOCK) == 420
+
+
+def test_a_run_evaluates_the_energy_once_per_block(dom63, monkeypatch):
+    """One energy_terms call at t = 0 and one over each block's stacked steps."""
+    rows = []
+    energy = solver.energy_terms
+
+    def counted(u, *args):
+        rows.append(len(u))
+        return energy(u, *args)
+    monkeypatch.setattr(solver, "energy_terms", counted)
+    _decaying_run(dom63)
+    assert len(rows) == 1 + math.ceil(400 / STEPS_PER_BLOCK) == 10
+    assert rows == [1] + [STEPS_PER_BLOCK] * 8 + [400 - 8 * STEPS_PER_BLOCK]
 
 
 def test_stack_rows_must_share_p_and_domain(dom63):
