@@ -676,7 +676,7 @@ BLOCK_CASES = {
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("block_values", [0, 1000, solver.BLOCK_VALUES, 10**9])
+@pytest.mark.parametrize("block_values", [0, 1000, 4096, solver.BLOCK_VALUES, 10**9])
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
                                                              monkeypatch):
@@ -684,7 +684,7 @@ def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
     with growth, the threshold, each monitor and the horizon, which is no
     multiple of the block.  Each row equals its solo run and the
     hand-stepped reference bit for bit, from blocks of one step to one block
-    for the run.
+    for the run; 4096 is a block a third the size of the default.
 
     At the default BLOCK_VALUES a block of the interval stack of 4, 3 and 2
     rows holds up to 13, 17 and 25 steps, and a failed step folds it early:
