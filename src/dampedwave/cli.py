@@ -2,8 +2,8 @@
 
 Configuration is a flat key=value text file; any key can be overridden on
 the command line with --set key=value.  Subcommands: well, run, sweep,
-classify.  Exit codes: 0 success, 1 config/validation error, 2 numerical
-failure.
+classify.  Exit codes: 0 success, 1 config/validation error or unusable
+output path, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ def parse(table: dict[str, str]) -> Experiment:
             raise ConfigError(f"init.file: {exc}") from exc
         if field.domain != domain:
             raise ConfigError("initial-data file domain does not match config")
-        if not field.is_finite():
-            raise ConfigError("init.file: field contains NaN or Inf")
     return Experiment(dict(table), domain, params, step, horizon, kind, fraction,
                       field)
 
@@ -390,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     except (well.ConvergenceError, solver.StepFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output directory or file that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

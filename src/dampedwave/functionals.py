@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CorruptFieldError, GridField, row_dots, stiffness
+from .mesh import GridField, row_dots, stiffness
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class ModelParams:
     p: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.omega, self.mu, self.p))):
+            raise ValueError("omega, mu and p must be finite")
         if self.omega < 0 or self.mu < 0:
             raise ValueError("damping coefficients must be nonnegative")
         if self.omega == 0 and self.mu == 0:
@@ -68,20 +70,16 @@ class EnergyReport:
 
 
 def energy_terms(u: np.ndarray, au: np.ndarray, v: np.ndarray, w: float,
-                 p: float) -> list[tuple[float, ...]]:
-    """(E, I, J, kinetic, grad_sq, lp_p, l2_v) for each row of (K, n) node values.
+                 p: float) -> list[tuple[float, ...] | None]:
+    """(E, I, J, kinetic, grad_sq, lp_p, l2_v) for each row of (K, n) node
+    values, or None for a row whose u or v holds a NaN or Inf.
 
     `au` is A @ u and `w` the node weight; each row is reduced exactly as the
     mesh norms reduce one field, so the results agree bit for bit.
     """
     lp_sums = np.add.reduce(np.abs(u) ** p, axis=-1).tolist()
     v_sums = np.add.reduce(v**2, axis=-1).tolist()
-    # a sum of |u|^p or v^2 is finite only if all its terms are, so the
-    # entries need a look of their own only when a sum is not
-    if (not math.isfinite(sum(lp_sums) + sum(v_sums))
-            and not (np.isfinite(u).all() and np.isfinite(v).all())):
-        raise CorruptFieldError("field contains NaN or Inf")
-    terms = []
+    terms: list = []
     for uau, upp, vv in zip(row_dots(u, au), lp_sums, v_sums):
         grad_sq = max(w * uau, 0.0)
         lp_p = w * upp
@@ -89,6 +87,12 @@ def energy_terms(u: np.ndarray, au: np.ndarray, v: np.ndarray, w: float,
         kinetic = 0.5 * l2_v
         j = 0.5 * grad_sq - lp_p / p
         terms.append((j + kinetic, grad_sq - lp_p, j, kinetic, grad_sq, lp_p, l2_v))
+    # a sum of |u|^p or v^2 is finite only if all its terms are, so the
+    # entries need a look of their own only when a sum is not
+    if not math.isfinite(sum(lp_sums) + sum(v_sums)):
+        for r in range(len(terms)):
+            if not (np.isfinite(u[r]).all() and np.isfinite(v[r]).all()):
+                terms[r] = None
     return terms
 
 

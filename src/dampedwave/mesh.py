@@ -25,7 +25,7 @@ class DomainMismatchError(ValueError):
 
 
 class CorruptFieldError(ValueError):
-    """A field contains NaN or Inf entries."""
+    """A GridField was built from values that hold NaN or Inf."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def rectangle(extents: tuple[float, float], n: tuple[int, int]) -> Domain:
 
 @dataclass(frozen=True, eq=False)
 class GridField:
-    """Real values on the interior nodes of a domain."""
+    """Finite real values on the interior nodes of a domain."""
 
     domain: Domain
     values: np.ndarray
@@ -109,22 +109,16 @@ class GridField:
         if vals.size != self.domain.size:
             raise ValueError(
                 f"field has {vals.size} values, domain has {self.domain.size} nodes")
+        if not np.isfinite(vals).all():
+            raise CorruptFieldError("field contains NaN or Inf")
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def zeros(cls, domain: Domain) -> "GridField":
         return cls(domain, np.zeros(domain.size))
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
     def is_zero(self) -> bool:
         return not np.any(self.values)
-
-
-def _check_finite(u: GridField) -> None:
-    if not u.is_finite():
-        raise CorruptFieldError("field contains NaN or Inf")
 
 
 def _check_domain(u: GridField, domain: Domain) -> None:
@@ -181,7 +175,6 @@ def stiffness(domain: Domain):
 
 def grad_norm_sq(u: GridField) -> float:
     """Discrete ||grad u||_2^2 as the weighted stiffness quadratic form."""
-    _check_finite(u)
     q = u.domain.weight * float(u.values @ stiffness(u.domain)(u.values))
     return max(q, 0.0)
 

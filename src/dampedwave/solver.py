@@ -26,9 +26,11 @@ take one solve.
 its one-row case.  A step is one `advance` call and one A @ u.  The energy,
 the midpoint dissipation and the sample's v @ u and v @ A v are evaluated
 once per block of steps (`_fold`), which then walks each row through the
-block in step order and ends it at its first failed step (a per-row result
-of `advance`, `StepStats.failures`), monitor, threshold or horizon.  A row
-is stepped up to one block past its ending, and those steps are dropped.
+block in step order and ends it at its first failed step, monitor,
+threshold or horizon.  A step fails for a row when `advance` reports it
+(`StepStats.failures`) or when it leaves a NaN or Inf in the row's u or v.
+A row is stepped up to one block past its ending, and those steps are
+dropped, so they cannot affect any result.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class StepConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -354,20 +356,14 @@ def _fold(rows: list[_Row], block: list, stepper: Stepper, stride: int,
     v @ A v cover its sampled steps.  At each step a row advances its clock
     and solve count, adds its drift, records a sampled step and takes its
     verdict there, and at the horizon completes.  It ends at its first failed
-    step or ending, and its later steps in the block are dropped.
-
-    A row stepped past its ending may have gone non-finite, which makes the
-    stacked `energy_terms` raise CorruptFieldError.  Then each step is
-    evaluated again over the rows that reach it, so the error is raised
-    only where stepping one step at a time raises it.
+    step or ending, and its later steps in the block are dropped.  A step
+    whose terms are None, a NaN or Inf in the row's u or v, fails as
+    "step produced non-finite values".
     """
     n, dt, w, p = len(rows), stepper.cfg.dt, stepper.w, stepper.p
     steps, stats, us, aus, vs = zip(*block)
     u, au, v = np.concatenate(us), np.concatenate(aus), np.concatenate(vs)
-    try:
-        terms = energy_terms(u, au, v, w, p)
-    except mesh.CorruptFieldError:
-        terms = None
+    terms = energy_terms(u, au, v, w, p)
     diss = stepper.dissipation(np.concatenate([s.vm for s in stats]))
     sampled = [k % stride == 0 or k == n_steps for k in steps]
     if any(sampled):
@@ -380,22 +376,16 @@ def _fold(rows: list[_Row], block: list, stepper: Stepper, stride: int,
     for i, (k, step) in enumerate(zip(steps, stats)):
         if len(ended) == n:
             break
-        if terms is None:
-            live = [r for r in range(n) if r not in ended]
-            step_terms = dict(zip(live, energy_terms(
-                us[i][live], aus[i][live], vs[i][live], w, p)))
-        else:
-            step_terms = terms[i * n:(i + 1) * n]
-        for r, (row, iters, failure) in enumerate(
-                zip(rows, step.row_iters, step.failures)):
+        step_terms = terms[i * n:(i + 1) * n]
+        for r, (row, iters, failure, row_terms) in enumerate(
+                zip(rows, step.row_iters, step.failures, step_terms)):
             if r in ended:
                 continue
-            if failure is not None:
-                ended[r] = "failed", failure
+            if failure is not None or row_terms is None:
+                ended[r] = "failed", failure or "step produced non-finite values"
                 continue
             row.t += dt
             row.solves += iters
-            row_terms = step_terms[r]
             e_now = row_terms[0]
             row.drift += abs(e_now - row.e_prev - dt * diss[i * n + r])
             ending = None
@@ -421,8 +411,10 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     Returns per row what `run` returns for that row alone, bit for bit: its
     (series, outcome), or the StepFailure that ended it.  A row ends when it
     fails a step, trips a monitor, blows up or reaches the horizon; the
-    others keep the steps they computed.  A horizon that is not positive or
-    of more than MAX_STEPS steps raises ValueError.
+    others keep the steps they computed.  A step that leaves a NaN or Inf in
+    a row's u or v fails for that row, as a non-finite midpoint solve does;
+    the initial states are GridFields, which hold none.  A horizon that is
+    not positive or of more than MAX_STEPS steps raises ValueError.
 
     Each step calls `Stepper.advance` once, from `start_guess` of the
     stack's last HISTORY midpoint velocities, and evaluates A @ u, which
@@ -460,8 +452,9 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     history: list[np.ndarray] = []  # the last HISTORY midpoint velocities
     block: list = []  # the steps not yet folded, see `_fold`
 
-    # overflow is expected in a guess, which `advance` falls back from, and
-    # in a row stepped past its ending, whose steps `_fold` drops
+    # overflow is expected in a guess, which `advance` falls back from, in a
+    # step that goes non-finite, which `_fold` fails, and in a row stepped
+    # past its ending, whose steps `_fold` drops
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             (u, v), stats = stepper.advance(u, v, au, start_guess(history))

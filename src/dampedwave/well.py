@@ -216,7 +216,7 @@ def prepare_initial_data(domain: Domain, params: ModelParams, wc: WellConstants,
         if not 0.0 < fraction < 1.0:
             raise ValueError("stable target needs 0 < fraction < 1")
     elif kind == "unstable":
-        if fraction <= 0.0:
+        if not fraction > 0.0:  # NaN too
             raise ValueError("unstable target needs fraction > 0")
     else:
         raise ValueError(f"unknown target kind {kind!r}")

@@ -272,13 +272,15 @@ def _field_file(tmp_path, flaw):
     short or lies on an interval of another length."""
     path = tmp_path / f"{flaw}.txt"
     values = np.linspace(0.1, 1.5, 15)
-    if flaw == "nan":
-        values[3] = np.nan
-    if flaw != "missing":
-        dom = dw.interval(2.0 if flaw == "other" else 1.0, 15)
-        mesh.write_field(path, mesh.GridField(dom, values))
+    if flaw == "missing":
+        return path
+    dom = dw.interval(2.0 if flaw == "other" else 1.0, 15)
+    mesh.write_field(path, mesh.GridField(dom, values))
+    lines = path.read_text().splitlines(True)
+    if flaw == "nan":  # no GridField holds a NaN, so it goes into the text
+        path.write_text("".join(lines[:4] + ["nan\n"] + lines[5:]))
     if flaw == "truncated":
-        path.write_text("".join(path.read_text().splitlines(True)[:8]))
+        path.write_text("".join(lines[:8]))
     return path
 
 
@@ -308,6 +310,23 @@ def test_bad_initial_data_exits_1_and_writes_nothing(tmp_path, capsys, command,
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under_a_file", [False, True])
+@pytest.mark.parametrize("command", ["run", "well", "sweep"])
+def test_unusable_output_path_exits_1(tmp_path, capsys, command, under_a_file):
+    """An --out that is an existing file, or a directory under one, exits 1
+    with a one-line message and no traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under_a_file else blocker
+    argv = [command, "--out", str(out), *FAST]
+    if command == "sweep":
+        argv += ["--vary", "model.mu=0.5,1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
 
 
 def test_run_zero_data(tmp_path):
@@ -466,6 +485,37 @@ def test_sweep_points_equal_separate_runs(tmp_path):
         outcomes.add(json.loads((run_dir / "report.json").read_text())
                      ["outcome"]["kind"])
     assert outcomes == {"completed", "blew_up"}
+
+
+def test_sweep_row_that_goes_non_finite_fails_alone(tmp_path, monkeypatch):
+    """A step that leaves a NaN in one stacked row, with no failure from
+    `advance`, fails that point only; the other points write what `run`
+    writes for them.  The corrupted row's norm falls over the steps before
+    step 40, so it ends in the StepFailure rather than as blown up."""
+    settings = [*FAST, "--set", "run.horizon=0.6"]
+    advance, steps = dw.Stepper.advance, [0]
+
+    def corrupting(self, u, *args):
+        (u, v), stats = advance(self, u, *args)
+        if len(u) == 3:  # the whole stack: solo runs are left alone
+            steps[0] += 1
+            if steps[0] >= 40:
+                u[1] = np.nan
+        return (u, v), stats
+    monkeypatch.setattr(dw.Stepper, "advance", corrupting)
+    omegas = ("0", "0.1", "1")
+    assert cli.main(["sweep", "--out", str(tmp_path / "sweep"), *settings,
+                     "--vary", f"model.omega={','.join(omegas)}"]) == 0
+    rows = _sweep_rows(tmp_path / "sweep")
+    assert [row["error"] for row in rows] == [
+        "", "numerical: step produced non-finite values", ""]
+    for idx in (0, 2):
+        run_dir = tmp_path / f"run_{idx}"
+        assert cli.main(["run", "--out", str(run_dir), *settings,
+                         "--set", f"model.omega={omegas[idx]}"]) == 0
+        point_dir = tmp_path / "sweep" / f"point_{idx:04d}"
+        for name in ("series.csv", "report.json"):
+            assert (point_dir / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 @pytest.mark.parametrize("vary,calls", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,12 @@ def test_params_validation():
         dw.ModelParams(omega=1.0, mu=1.0, p=2.0)
     with pytest.raises(ValueError):
         dw.ModelParams(omega=-1.0, mu=1.0, p=4.0)
+    for bad in (math.nan, math.inf):
+        for kwargs in ({"omega": bad, "mu": 1.0, "p": 4.0},
+                       {"omega": 1.0, "mu": bad, "p": 4.0},
+                       {"omega": 1.0, "mu": 1.0, "p": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                dw.ModelParams(**kwargs)
 
 
 def test_state_domain_mismatch():

@@ -17,6 +17,9 @@ def test_step_config_validation():
         dw.StepConfig(dt=0.0)
     with pytest.raises(ValueError):
         dw.StepConfig(dt=-1e-3)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dw.StepConfig(dt=dt)
 
 
 @pytest.mark.parametrize("epsilon", [-5.0, -1e-300, math.nan, math.inf])
@@ -553,13 +556,12 @@ def test_extrapolated_start_takes_under_1_5_solves_per_step():
 
 @pytest.mark.parametrize("field", ["u", "v"])
 def test_run_rejects_non_finite_initial_data(dom63, field):
-    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    """No state with a NaN reaches `run`: its field fails when it is built."""
     values = {"u": 0.1 * mesh.eigenmode(dom63).values, "v": np.zeros(dom63.size)}
     values[field][5] = math.nan
-    state = dw.SimState(0.0, dw.GridField(dom63, values["u"]),
-                        dw.GridField(dom63, values["v"]))
     with pytest.raises(mesh.CorruptFieldError):
-        dw.run(state, params, dw.StepConfig(dt=1e-2), 0.1)
+        dw.SimState(0.0, dw.GridField(dom63, values["u"]),
+                    dw.GridField(dom63, values["v"]))
 
 
 def _assert_rows_equal(batch, solo):
@@ -584,7 +586,8 @@ def _solo(state, params, cfg, horizon, monitors):
 
 def _per_step_reference(state, params, cfg, horizon, monitors):
     """One trajectory stepped by hand, every diagnostic evaluated at its own
-    step: what `run` returns for it, or the StepFailure that ends it."""
+    step: what `run` returns for it, or the StepFailure that ends it.  A step
+    fails when `advance` says so or when it leaves a NaN or Inf in u or v."""
     dom = state.u.domain
     stepper = dw.Stepper(dom, [params], cfg)
     a, w, p, dt = stepper.a, dom.weight, params.p, cfg.dt
@@ -616,6 +619,8 @@ def _per_step_reference(state, params, cfg, horizon, monitors):
         (u1, v1), stats = stepper.advance(u, v, au, solver.start_guess(history))
         history.append(stats.vm)
         (failure,) = stats.failures
+        if failure is None and not (np.isfinite(u1).all() and np.isfinite(v1).all()):
+            failure = "step produced non-finite values"
         if failure is not None:
             est = dw.detect_blowup(series, step_failed=True)
             return solver.StepFailure(failure) if est is None else outcome(
@@ -720,8 +725,8 @@ def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
 def test_a_step_past_a_rows_ending_cannot_raise(dom63, monkeypatch):
     """A row whose steps after its threshold step return a non-finite u, in
     the same block and with no failure, still ends at the threshold and the
-    other row equals its solo run.  A row that reaches such a step raises
-    CorruptFieldError, as stepping one step at a time does."""
+    other row equals its solo run.  A row that reaches such a step fails
+    there, and the other row still equals its solo run."""
     dt = 5e-4
     cfg, horizon, phi = dw.StepConfig(dt=dt), 40 * dt, mesh.eigenmode(dom63).values
     params = [dw.ModelParams(omega=0.0, mu=1.0, p=4.0),
@@ -755,8 +760,12 @@ def test_a_step_past_a_rows_ending_cannot_raise(dom63, monkeypatch):
     _assert_rows_equal(calm, solo[1])
 
     corrupt[0], stacks[:] = 1, []
-    with pytest.raises(mesh.CorruptFieldError):
-        dw.run_many(states, params, cfg, horizon, monitors)
+    blown, failed = dw.run_many(states, params, cfg, horizon, monitors)
+    _assert_rows_equal(blown, solo[0])
+    # the calm row reaches step 11 with a NaN u: that step fails, and with no
+    # growth in its series the row ends in the StepFailure
+    assert isinstance(failed, solver.StepFailure)
+    assert str(failed) == "step produced non-finite values"
 
 
 def _decaying_run(dom63):

@@ -296,7 +296,8 @@ class TestPrepareInitialData:
         assert cls.J == pytest.approx(0.5 * wc.d, rel=1e-9)
 
     @pytest.mark.parametrize("target, message", [
-        (("bogus", 0.5), "unknown target kind"), (("unstable", 0.0), "fraction > 0")])
+        (("bogus", 0.5), "unknown target kind"), (("unstable", 0.0), "fraction > 0"),
+        (("unstable", math.nan), "fraction > 0")])
     def test_invalid_target_rejected(self, dom63, wc63_p4, target, message):
         with pytest.raises(ValueError, match=message):
             dw.prepare_initial_data(dom63, self.params, wc63_p4, target)
