@@ -2,16 +2,19 @@ import csv
 import importlib.util
 import itertools
 import json
+import multiprocessing
+import os
 import re
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave import cli, mesh, well
+from dampedwave import cli, mesh, solver, well
 from dampedwave.series import COLUMNS
 
 FAST = [
@@ -491,31 +494,124 @@ def test_sweep_row_that_goes_non_finite_fails_alone(tmp_path, monkeypatch):
     """A step that leaves a NaN in one stacked row, with no failure from
     `advance`, fails that point only; the other points write what `run`
     writes for them.  The corrupted row's norm falls over the steps before
-    step 40, so it ends in the StepFailure rather than as blown up."""
+    step 40, so it ends in the StepFailure rather than as blown up.  At one
+    CPU the three points step as one stack; at two, as two stacks."""
     settings = [*FAST, "--set", "run.horizon=0.6"]
-    advance, steps = dw.Stepper.advance, [0]
+    init, advance, steps = dw.Stepper.__init__, dw.Stepper.advance, [0]
+
+    def remembering(self, domain, params, cfg):
+        init(self, domain, params, cfg)
+        self.omegas = [prm.omega for prm in params]
 
     def corrupting(self, u, *args):
         (u, v), stats = advance(self, u, *args)
-        if len(u) == 3:  # the whole stack: solo runs are left alone
+        if 0.1 in self.omegas:  # the omega = 0.1 point, in any stack
             steps[0] += 1
             if steps[0] >= 40:
-                u[1] = np.nan
+                u[self.omegas.index(0.1)] = np.nan
         return (u, v), stats
+    monkeypatch.setattr(dw.Stepper, "__init__", remembering)
     monkeypatch.setattr(dw.Stepper, "advance", corrupting)
     omegas = ("0", "0.1", "1")
-    assert cli.main(["sweep", "--out", str(tmp_path / "sweep"), *settings,
-                     "--vary", f"model.omega={','.join(omegas)}"]) == 0
-    rows = _sweep_rows(tmp_path / "sweep")
-    assert [row["error"] for row in rows] == [
-        "", "numerical: step produced non-finite values", ""]
-    for idx in (0, 2):
-        run_dir = tmp_path / f"run_{idx}"
-        assert cli.main(["run", "--out", str(run_dir), *settings,
-                         "--set", f"model.omega={omegas[idx]}"]) == 0
-        point_dir = tmp_path / "sweep" / f"point_{idx:04d}"
-        for name in ("series.csv", "report.json"):
-            assert (point_dir / name).read_bytes() == (run_dir / name).read_bytes()
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        steps[0] = 0
+        out = tmp_path / f"cpus_{cpus}"
+        assert cli.main(["sweep", "--out", str(out / "sweep"), *settings,
+                         "--vary", f"model.omega={','.join(omegas)}"]) == 0
+        rows = _sweep_rows(out / "sweep")
+        assert [row["error"] for row in rows] == [
+            "", "numerical: step produced non-finite values", ""]
+        for idx in (0, 2):
+            run_dir = out / f"run_{idx}"
+            assert cli.main(["run", "--out", str(run_dir), *settings,
+                             "--set", f"model.omega={omegas[idx]}"]) == 0
+            point_dir = out / "sweep" / f"point_{idx:04d}"
+            for name in ("series.csv", "report.json"):
+                assert ((point_dir / name).read_bytes()
+                        == (run_dir / name).read_bytes())
+
+
+def _set_cpus(monkeypatch, cpus):
+    """Let the process run on `cpus` CPUs, as `taskset` would."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def _tree(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+CLI_SWEEP = ["--set", "domain.n=63", "--set", "step.dt=0.005",
+             "--set", "run.horizon=0.5", "--vary", "init.kind=stable,unstable",
+             "--vary", "init.fraction=0.5,0.9", "--vary", "model.omega=0,0.1"]
+
+
+def test_sweep_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    """The benchmark's 8-point sweep, shortened, writes the same bytes
+    stepped as one stack of 8 and as two stacks of 4."""
+    trees = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus_{cpus}"
+        assert cli.main(["sweep", "--out", str(out), *CLI_SWEEP]) == 0
+        trees.append(_tree(out))
+    assert len(trees[0]) == 1 + 8 * 3
+    assert trees[0] == trees[1]
+
+
+def test_sweep_steps_its_stacks_in_worker_processes(tmp_path, monkeypatch):
+    """At two CPUs the 8-point sweep steps two stacks of 4 rows side by side,
+    each in a worker process of its own, and no worker outlives `cli.main`."""
+    calls = tmp_path / "calls.txt"
+    run_many = solver.run_many
+
+    def recording(states, *args, **kwargs):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()} {len(states)}\n")
+        # wait for the other stack, so that one worker cannot take both
+        deadline = time.monotonic() + 10.0
+        while (len(calls.read_text().splitlines()) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        return run_many(states, *args, **kwargs)
+    monkeypatch.setattr(solver, "run_many", recording)
+    _set_cpus(monkeypatch, 2)
+    assert cli.main(["sweep", "--out", str(tmp_path / "out"), *CLI_SWEEP]) == 0
+    assert multiprocessing.active_children() == []
+    seen = [line.split() for line in calls.read_text().splitlines()]
+    assert sorted(rows for _, rows in seen) == ["4", "4"]
+    pids = {int(pid) for pid, _ in seen}
+    assert len(pids) == 2 and os.getpid() not in pids
+
+
+def test_output_error_in_a_worker_exits_1(tmp_path, monkeypatch, capsys):
+    """An OSError while a stack's files are written, in this process or in a
+    worker, is reported as an output error, and no worker is left."""
+    def full(self, path):
+        raise OSError(28, "No space left on device", str(path))
+    monkeypatch.setattr(dw.TimeSeries, "to_csv", full)
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        assert cli.main(["sweep", "--out", str(tmp_path / f"cpus_{cpus}"),
+                         *FAST, "--vary", "model.mu=0.5,1"]) == 1
+        assert "output error: [Errno 28] No space left on device" in (
+            capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv,cpus", [
+    (["run"], 2),
+    (["sweep", "--vary", "model.mu=1"], 2),
+    (["sweep", "--vary", "model.p=3,4"], 1),  # two stacks
+])
+def test_one_stack_or_one_cpu_starts_no_process(tmp_path, monkeypatch, argv, cpus):
+    def no_fork():
+        raise AssertionError("a process was started")
+    monkeypatch.setattr(os, "fork", no_fork)
+    _set_cpus(monkeypatch, cpus)
+    assert cli.main([*argv, "--out", str(tmp_path), *FAST]) == 0
 
 
 @pytest.mark.parametrize("vary,calls", [
