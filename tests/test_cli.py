@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import shlex
+import signal
 import sys
 import time
 from pathlib import Path
@@ -495,41 +496,49 @@ def test_sweep_row_that_goes_non_finite_fails_alone(tmp_path, monkeypatch):
     `advance`, fails that point only; the other points write what `run`
     writes for them.  The corrupted row's norm falls over the steps before
     step 40, so it ends in the StepFailure rather than as blown up.  At one
-    CPU the three points step as one stack; at two, as two stacks."""
+    CPU the eight points step as one stack; at two, as two stacks of 4."""
     settings = [*FAST, "--set", "run.horizon=0.6"]
     init, advance, steps = dw.Stepper.__init__, dw.Stepper.advance, [0]
+    corrupted = (0.1, 1.0)  # (omega, mu) of point 3
 
     def remembering(self, domain, params, cfg):
         init(self, domain, params, cfg)
-        self.omegas = [prm.omega for prm in params]
+        self.points = [(prm.omega, prm.mu) for prm in params]
 
     def corrupting(self, u, *args):
         (u, v), stats = advance(self, u, *args)
-        if 0.1 in self.omegas:  # the omega = 0.1 point, in any stack
+        if corrupted in self.points:  # in whatever stack holds it
             steps[0] += 1
             if steps[0] >= 40:
-                u[self.omegas.index(0.1)] = np.nan
+                u[self.points.index(corrupted)] = np.nan
         return (u, v), stats
     monkeypatch.setattr(dw.Stepper, "__init__", remembering)
     monkeypatch.setattr(dw.Stepper, "advance", corrupting)
-    omegas = ("0", "0.1", "1")
+    points = list(itertools.product(("0", "0.1", "0.5", "1"), ("0.5", "1")))
     for cpus in (1, 2):
         _set_cpus(monkeypatch, cpus)
         steps[0] = 0
         out = tmp_path / f"cpus_{cpus}"
         assert cli.main(["sweep", "--out", str(out / "sweep"), *settings,
-                         "--vary", f"model.omega={','.join(omegas)}"]) == 0
+                         *EIGHT_POINTS]) == 0
         rows = _sweep_rows(out / "sweep")
         assert [row["error"] for row in rows] == [
-            "", "numerical: step produced non-finite values", ""]
-        for idx in (0, 2):
+            "", "", "", "numerical: step produced non-finite values",
+            "", "", "", ""]
+        for idx, (omega, mu) in enumerate(points):
+            if idx == 3:
+                continue
             run_dir = out / f"run_{idx}"
             assert cli.main(["run", "--out", str(run_dir), *settings,
-                             "--set", f"model.omega={omegas[idx]}"]) == 0
+                             "--set", f"model.omega={omega}",
+                             "--set", f"model.mu={mu}"]) == 0
             point_dir = out / "sweep" / f"point_{idx:04d}"
             for name in ("series.csv", "report.json"):
                 assert ((point_dir / name).read_bytes()
                         == (run_dir / name).read_bytes())
+
+
+EIGHT_POINTS = ["--vary", "model.omega=0,0.1,0.5,1", "--vary", "model.mu=0.5,1"]
 
 
 def _set_cpus(monkeypatch, cpus):
@@ -561,9 +570,11 @@ def test_sweep_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     assert trees[0] == trees[1]
 
 
-def test_sweep_steps_its_stacks_in_worker_processes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_sweep_steps_its_stacks_in_worker_processes(tmp_path, monkeypatch, cpus):
     """At two CPUs the 8-point sweep steps two stacks of 4 rows side by side,
-    each in a worker process of its own, and no worker outlives `cli.main`."""
+    each in a worker process of its own, and no worker outlives `cli.main`.
+    More CPUs split it no finer: no stack has fewer than MIN_STACK_ROWS."""
     calls = tmp_path / "calls.txt"
     run_many = solver.run_many
 
@@ -577,7 +588,7 @@ def test_sweep_steps_its_stacks_in_worker_processes(tmp_path, monkeypatch):
             time.sleep(0.01)
         return run_many(states, *args, **kwargs)
     monkeypatch.setattr(solver, "run_many", recording)
-    _set_cpus(monkeypatch, 2)
+    _set_cpus(monkeypatch, cpus)
     assert cli.main(["sweep", "--out", str(tmp_path / "out"), *CLI_SWEEP]) == 0
     assert multiprocessing.active_children() == []
     seen = [line.split() for line in calls.read_text().splitlines()]
@@ -595,18 +606,41 @@ def test_output_error_in_a_worker_exits_1(tmp_path, monkeypatch, capsys):
     for cpus in (1, 2):
         _set_cpus(monkeypatch, cpus)
         assert cli.main(["sweep", "--out", str(tmp_path / f"cpus_{cpus}"),
-                         *FAST, "--vary", "model.mu=0.5,1"]) == 1
+                         *FAST, *EIGHT_POINTS]) == 1
         assert "output error: [Errno 28] No space left on device" in (
             capsys.readouterr().err)
         assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_exits_2(tmp_path, monkeypatch, capsys):
+    """A worker killed by a signal, as by the out-of-memory killer, ends the
+    sweep with exit 2 and no traceback, rather than leaving it waiting for
+    the lost stack, and no worker is left."""
+    run_many, test_pid = solver.run_many, os.getpid()
+
+    def killed(states, *args, **kwargs):
+        if os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_many(states, *args, **kwargs)
+    monkeypatch.setattr(solver, "run_many", killed)
+    _set_cpus(monkeypatch, 2)
+    assert cli.main(["sweep", "--out", str(tmp_path), *FAST,
+                     *EIGHT_POINTS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("worker lost: ") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("argv,cpus", [
     (["run"], 2),
     (["sweep", "--vary", "model.mu=1"], 2),
     (["sweep", "--vary", "model.p=3,4"], 1),  # two stacks
+    (["sweep", "--vary", "model.omega=0,0.1,0.5,1"], 2),  # stacks of 2
 ])
 def test_one_stack_or_one_cpu_starts_no_process(tmp_path, monkeypatch, argv, cpus):
+    """One stack or one CPU steps in this process, and so does a group too
+    small to split into stacks of MIN_STACK_ROWS."""
     def no_fork():
         raise AssertionError("a process was started")
     monkeypatch.setattr(os, "fork", no_fork)
