@@ -5,12 +5,12 @@ the command line with --set key=value.  Subcommands: well, run, sweep,
 classify.  Exit codes: 0 success, 1 config/validation error or unusable
 output path, 2 numerical failure or a sweep worker process that died.
 
-A sweep steps its points as stacks, split over the CPUs the process may run
-on (so `taskset` limits them, but a CPU quota does not), with no stack of
-fewer than MIN_STACK_ROWS rows.  With two stacks and two CPUs or more,
-forked worker processes step them, and each writes its points' series.csv
-and report.json.  Every file is byte for byte the same whatever the number
-of CPUs.
+A sweep steps its points as stacks, split over the CPUs the process may use
+(which `taskset` and a container's CPU quota limit), with no stack of fewer
+than MIN_STACK_ROWS rows.  With two stacks and two CPUs or more, this
+process steps one share of the stacks and a forked child steps each other
+share; each writes its points' series.csv and report.json.  Every file is
+byte for byte the same whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -311,33 +312,126 @@ def _run_stack(members: list[tuple[int, _Prepared]]) -> dict[int, dict]:
             for n, (idx, pt) in enumerate(members)}
 
 
+CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def _cpu_quota() -> int | None:
+    """The CPU quota of the cgroup mounted at CGROUP_ROOT, rounded up to
+    whole CPUs, or None for no quota or no readable file."""
+    try:
+        quota, period = (CGROUP_ROOT / "cpu.max").read_text().split()  # v2
+    except (OSError, ValueError):
+        try:
+            quota, period = ((CGROUP_ROOT / "cpu" / name).read_text()  # v1
+                             for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
+        except OSError:
+            return None
+    try:
+        quota_us, period_us = int(quota), int(period)
+    except ValueError:  # "max": no quota
+        return None
+    if quota_us <= 0 or period_us <= 0:  # -1: no quota
+        return None
+    return math.ceil(quota_us / period_us)
+
+
 def _cpu_count() -> int:
-    """The CPUs this process may run on, which `taskset` and cpusets limit."""
+    """The CPUs this process may use: those it may run on, which `taskset`
+    and cpusets limit, and no more than its CPU quota (`docker --cpus`).
+
+    The quota is read at CGROUP_ROOT, where a container sees its own
+    cgroup: `cpu.max` (cgroup v2) or `cpu/cpu.cfs_quota_us` over
+    `cpu/cpu.cfs_period_us` (v1).  The quota of a nested cgroup outside a
+    container is not seen.
+    """
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _child(share: list, read: int, write: int) -> None:
+    """Step `share` in a forked child and send the pickled (summaries, None),
+    or (None, the exception it raised), through the pipe's write end.  An
+    exception that does not pickle is sent as its text.  The child ends
+    here, so it never returns into its caller nor flushes buffers it
+    inherited."""
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps(([_run_stack(members) for members in share],
+                                    None))
+        except BaseException as exc:  # raised again in the parent
+            try:
+                payload = pickle.dumps((None, exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((None, f"{type(exc).__name__}: {exc}"))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _received(pid: int, status: int, data: bytes) -> list[dict[int, dict]]:
+    """The summaries a reaped child sent, or its exception raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"by signal {-code}" if code < 0 else f"with exit status {code}"
+        raise WorkerLost(f"process {pid} ended {how}")
+    try:
+        results, error = pickle.loads(data)
+    except Exception:
+        raise WorkerLost(f"process {pid} left no complete result") from None
+    if isinstance(error, str):
+        raise WorkerLost(f"process {pid} raised {error}")
+    if error is not None:
+        raise error
+    return results
 
 
 def _map_stacks(stacks: list, cpus: int) -> list[dict[int, dict]]:
-    """`_run_stack` over each stack: in forked processes when there are two
-    stacks and two CPUs or more and the platform forks, else one after
-    another in this process.  A worker that dies raises `WorkerLost`."""
-    workers = min(cpus, len(stacks))
-    if workers > 1:
-        import multiprocessing  # here, so that importing the CLI stays light
-        from concurrent.futures.process import (BrokenProcessPool,
-                                                ProcessPoolExecutor)
+    """`_run_stack` over each stack, in stack order.
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # a forked worker inherits the imported modules, where a spawned
-            # one would import numpy again
-            context = multiprocessing.get_context("fork")
+    With `workers = min(cpus, len(stacks))` processes, this one included,
+    share i is stacks[i::workers]: this process steps share 0, and one
+    forked child steps each other share and sends its summaries back
+    through a pipe.  Every child is reaped before this returns or raises,
+    and an exception raised in a child is raised again here.  A child that
+    ends by a signal or a non-zero status, or with no complete result,
+    raises `WorkerLost`.  With one worker, or where the platform does not
+    fork, the stacks step one after another in this process.
+    """
+    workers = min(cpus, len(stacks))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_run_stack(members) for members in stacks]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for i in range(1, workers):
+            read, write = os.pipe()
             try:
-                with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                    return list(pool.map(_run_stack, stacks))
-            except BrokenProcessPool as exc:
-                raise WorkerLost(exc) from None
-    return [_run_stack(members) for members in stacks]
+                pid = os.fork()
+                if pid == 0:
+                    _child(stacks[i::workers], read, write)  # never returns
+                children.append((pid, read))
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)  # so a dead child's pipe reads EOF at once
+        shares = [[_run_stack(members) for members in stacks[::workers]]]
+    finally:
+        ended = []
+        for pid, read in children:
+            # read to EOF first: a child blocks on a result larger than the
+            # pipe's buffer until it is read
+            with open(read, "rb") as pipe:
+                data = pipe.read()
+            ended.append((pid, os.waitpid(pid, 0)[1], data))
+    shares += [_received(*child) for child in ended]
+    return [shares[i % workers][i // workers] for i in range(len(stacks))]
 
 
 def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
@@ -345,10 +439,11 @@ def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
 
     The points that share a domain, dt, horizon and p form a group.  Each
     group is split into interleaved stacks, about as many as its share of
-    the stepped points times the CPUs the process may run on, but none of
-    fewer than MIN_STACK_ROWS rows, and `_map_stacks` steps them, in forked
-    worker processes when there are two stacks and two CPUs or more.  A row
-    rounds the same in any stack, so no file depends on the split.
+    the stepped points times the CPUs the process may use, but none of
+    fewer than MIN_STACK_ROWS rows, and `_map_stacks` steps them, in this
+    process and in forked children when there are two stacks and two CPUs
+    or more.  A row rounds the same in any stack, so no file depends on the
+    split.
     """
     grid = _parse_vary(vary)
     if not grid:

@@ -2,11 +2,11 @@ import csv
 import importlib.util
 import itertools
 import json
-import multiprocessing
 import os
 import re
 import shlex
 import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -542,9 +542,52 @@ EIGHT_POINTS = ["--vary", "model.omega=0,0.1,0.5,1", "--vary", "model.mu=0.5,1"]
 
 
 def _set_cpus(monkeypatch, cpus):
-    """Let the process run on `cpus` CPUs, as `taskset` would."""
+    """Let the process run on `cpus` CPUs, as `taskset` would, with no CPU
+    quota."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+    monkeypatch.setattr(cli, "CGROUP_ROOT", Path(os.devnull) / "absent")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children that `os.fork` starts in the test, which
+    fails after 30 s rather than hang.  Any child still running at its end
+    is killed and reaped, so that a failing test leaves none behind."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def hung(signum, frame):
+        raise TimeoutError("the test hung")
+    monkeypatch.setattr(os, "fork", recording)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    for pid in pids:
+        try:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+
+
+def _reaped(pids):
+    """Whether every one of these children has been waited for."""
+    def gone(pid):
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+    return all(gone(pid) for pid in pids)
 
 
 def _tree(root):
@@ -571,10 +614,12 @@ def test_sweep_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
-def test_sweep_steps_its_stacks_in_worker_processes(tmp_path, monkeypatch, cpus):
+def test_sweep_steps_its_stacks_in_worker_processes(tmp_path, monkeypatch, forked,
+                                                    cpus):
     """At two CPUs the 8-point sweep steps two stacks of 4 rows side by side,
-    each in a worker process of its own, and no worker outlives `cli.main`.
-    More CPUs split it no finer: no stack has fewer than MIN_STACK_ROWS."""
+    one in this process and one in a forked child, and no child outlives
+    `cli.main`.  More CPUs split it no finer: no stack has fewer than
+    MIN_STACK_ROWS."""
     calls = tmp_path / "calls.txt"
     run_many = solver.run_many
 
@@ -590,16 +635,15 @@ def test_sweep_steps_its_stacks_in_worker_processes(tmp_path, monkeypatch, cpus)
     monkeypatch.setattr(solver, "run_many", recording)
     _set_cpus(monkeypatch, cpus)
     assert cli.main(["sweep", "--out", str(tmp_path / "out"), *CLI_SWEEP]) == 0
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1 and _reaped(forked)
     seen = [line.split() for line in calls.read_text().splitlines()]
     assert sorted(rows for _, rows in seen) == ["4", "4"]
-    pids = {int(pid) for pid, _ in seen}
-    assert len(pids) == 2 and os.getpid() not in pids
+    assert sorted(int(pid) for pid, _ in seen) == sorted([os.getpid(), *forked])
 
 
-def test_output_error_in_a_worker_exits_1(tmp_path, monkeypatch, capsys):
+def test_output_error_in_a_worker_exits_1(tmp_path, monkeypatch, capsys, forked):
     """An OSError while a stack's files are written, in this process or in a
-    worker, is reported as an output error, and no worker is left."""
+    child, is reported as an output error, and no child is left."""
     def full(self, path):
         raise OSError(28, "No space left on device", str(path))
     monkeypatch.setattr(dw.TimeSeries, "to_csv", full)
@@ -609,13 +653,52 @@ def test_output_error_in_a_worker_exits_1(tmp_path, monkeypatch, capsys):
                          *FAST, *EIGHT_POINTS]) == 1
         assert "output error: [Errno 28] No space left on device" in (
             capsys.readouterr().err)
-        assert multiprocessing.active_children() == []
+        assert _reaped(forked)
+    assert len(forked) == 1
 
 
-def test_killed_worker_exits_2(tmp_path, monkeypatch, capsys):
-    """A worker killed by a signal, as by the out-of-memory killer, ends the
+def test_output_error_in_this_process_alone_exits_1(tmp_path, monkeypatch, capsys,
+                                                    forked):
+    """An OSError in this process's own share ends the sweep with exit 1
+    though the child's share succeeds, and the child is reaped."""
+    to_csv, test_pid = dw.TimeSeries.to_csv, os.getpid()
+
+    def full_here(self, path):
+        if os.getpid() == test_pid:
+            raise OSError(28, "No space left on device", str(path))
+        return to_csv(self, path)
+    monkeypatch.setattr(dw.TimeSeries, "to_csv", full_here)
+    _set_cpus(monkeypatch, 2)
+    assert cli.main(["sweep", "--out", str(tmp_path), *FAST, *EIGHT_POINTS]) == 1
+    assert "output error: [Errno 28] No space left on device" in (
+        capsys.readouterr().err)
+    assert len(forked) == 1 and _reaped(forked)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_result_larger_than_a_pipe_buffer_is_read_before_waiting(
+        tmp_path, monkeypatch, capsys, forked):
+    """A child whose summaries outgrow the 64 KiB pipe buffer finishes while
+    this process's own share raises: the pipe is read before the child is
+    waited for, so the sweep exits 1 rather than hanging."""
+    test_pid = os.getpid()
+
+    def stack(members):
+        if os.getpid() == test_pid:
+            raise OSError(28, "No space left on device")
+        return {idx: {"error": "x" * 2**17} for idx, _ in members}
+
+    monkeypatch.setattr(cli, "_run_stack", stack)
+    _set_cpus(monkeypatch, 2)
+    assert cli.main(["sweep", "--out", str(tmp_path), *FAST, *EIGHT_POINTS]) == 1
+    assert "output error: [Errno 28]" in capsys.readouterr().err
+    assert len(forked) == 1 and _reaped(forked)
+
+
+def test_killed_worker_exits_2(tmp_path, monkeypatch, capsys, forked):
+    """A child killed by a signal, as by the out-of-memory killer, ends the
     sweep with exit 2 and no traceback, rather than leaving it waiting for
-    the lost stack, and no worker is left."""
+    the lost stack, and no child is left."""
     run_many, test_pid = solver.run_many, os.getpid()
 
     def killed(states, *args, **kwargs):
@@ -628,8 +711,78 @@ def test_killed_worker_exits_2(tmp_path, monkeypatch, capsys):
                      *EIGHT_POINTS]) == 2
     err = capsys.readouterr().err
     assert err.startswith("worker lost: ") and "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 1 and _reaped(forked)
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_worker_that_exits_without_a_result_exits_2(tmp_path, monkeypatch, capsys,
+                                                    forked):
+    """A child that ends with a non-zero status and sends nothing ends the
+    sweep with exit 2, and no sweep.csv is written."""
+    run_many, test_pid = solver.run_many, os.getpid()
+
+    def exiting(states, *args, **kwargs):
+        if os.getpid() != test_pid:
+            os._exit(3)
+        return run_many(states, *args, **kwargs)
+    monkeypatch.setattr(solver, "run_many", exiting)
+    _set_cpus(monkeypatch, 2)
+    assert cli.main(["sweep", "--out", str(tmp_path), *FAST,
+                     *EIGHT_POINTS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("worker lost: ") and "exit status 3" in err
+    assert len(forked) == 1 and _reaped(forked)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_parallel_sweep_imports_no_process_pool(tmp_path):
+    """A sweep that forks imports neither `multiprocessing` nor
+    `concurrent.futures`, which a fresh interpreter shows."""
+    script = f"""
+import os, sys
+from pathlib import Path
+from dampedwave import cli
+os.sched_getaffinity = lambda pid: {{0, 1}}
+cli.CGROUP_ROOT = Path(os.devnull) / "absent"
+forks, fork = [], os.fork
+def recording():
+    pid = fork()
+    forks.append(pid)
+    return pid
+os.fork = recording
+code = cli.main(["sweep", "--out", {str(tmp_path)!r}, *{[*FAST, *EIGHT_POINTS]!r}])
+assert code == 0 and len(forks) == 1, (code, forks)
+loaded = {{"multiprocessing", "concurrent.futures"}} & set(sys.modules)
+assert not loaded, loaded
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(_sweep_rows(tmp_path)) == 8
+
+
+@pytest.mark.parametrize("files,affinity,cpus", [
+    ({}, 8, 8),  # no cgroup files
+    ({"cpu.max": "max 100000\n"}, 8, 8),  # cgroup v2, no quota
+    ({"cpu.max": "150000 100000\n"}, 8, 2),
+    ({"cpu.max": "50000 100000\n"}, 8, 1),
+    ({"cpu.max": "400000 100000\n"}, 2, 2),  # the affinity mask is smaller
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8, 8),
+    ({"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"},
+     8, 2),  # cgroup v1
+    ({"cpu/cpu.cfs_quota_us": "150000\n"}, 8, 8),  # no period: not read
+])
+def test_cpu_count_sees_a_cpu_quota(tmp_path, monkeypatch, files, affinity, cpus):
+    """The CPUs a sweep splits over are the affinity mask's, but no more than
+    the cgroup's CPU quota rounded up."""
+    _set_cpus(monkeypatch, affinity)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(cli, "CGROUP_ROOT", tmp_path)
+    assert cli._cpu_count() == cpus
 
 
 @pytest.mark.parametrize("argv,cpus", [
