@@ -73,7 +73,7 @@ class StepConfig:
             raise ValueError("dt must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepStats:
     row_iters: list[int]  # linear solves per row, a fallback from its guess included
     # per row, the contraction constant rho that ended the row's iteration,
@@ -161,17 +161,23 @@ class Stepper:
         inf) is not certified within PICARD_TOL max(1, |vm|_inf); property
         probes found such rows 1.0-1.4e-12 relative from the fixed point.
 
+        Each iteration takes these maxima, per row, from one max-reduction
+        over the stacked |vm_k - vm_{k-1}| and |vm_k|; the first also stacks
+        |u| and |vm_0|.  A max is exact and each row is reduced on its own, so
+        every maximum, and so every rho and every stop, is the one the row
+        gives alone.
+
         A row whose iterate turns non-finite, or that has not converged
         after PICARD_MAX solves from its start, starts again from v if it
         started elsewhere, and otherwise fails: its entry of
         `StepStats.failures` says why, and its u and v are returned as given.
         """
-        if u.ndim != 2:
-            raise ValueError(f"advance takes (K, size) stacks, got shape {u.shape}")
+        if u.ndim != 2 or len(u) != len(self._lip):
+            raise ValueError(f"advance takes (K, size) stacks of K = {len(self._lip)} "
+                             f"rows, got shape {u.shape}")
         dt, q = self.cfg.dt, self.p - 2.0
         half_dt = 0.5 * dt
         base = 2.0 * v - dt * au
-        umax = np.maximum.reduce(np.abs(u), axis=-1).tolist()
         n_rows = len(u)
         solves = [0] * n_rows  # since the row's start
         spent = [0] * n_rows  # on a guess the row fell back from
@@ -181,19 +187,25 @@ class Stepper:
         fixed = None
         busy = n_rows
         vm = v if guess is None else guess
+        lead = (u, vm)  # |u|_inf and the start's |vm|_inf join the first reduction
         # Overflow near blow-up is expected; non-finite values end the row.
         with np.errstate(over="ignore", invalid="ignore"):
-            vmax = np.maximum.reduce(np.abs(vm), axis=-1).tolist()
             while busy:
                 um = u + half_dt * vm
                 rhs = base + dt * self._nonlinear(um)
                 vm_new = self._solve(rhs)
                 if fixed is not None:
                     vm_new[fixed] = vm[fixed]
-                delta = np.maximum.reduce(np.abs(vm_new - vm), axis=-1).tolist()
+                stacked = np.concatenate((*lead, vm_new - vm, vm_new))
+                # max propagates NaN and inf, so this also checks for both
+                maxima = np.maximum.reduce(np.abs(stacked, out=stacked),
+                                           axis=-1).tolist()
+                if lead:
+                    umax, vmax = maxima[:n_rows], maxima[n_rows:2 * n_rows]
+                    del maxima[:2 * n_rows]
+                    lead = ()
                 vm, prev = vm_new, vmax
-                # max propagates NaN and inf, so one reduction checks both
-                vmax = np.maximum.reduce(np.abs(vm), axis=-1).tolist()
+                delta, vmax = maxima[:n_rows], maxima[n_rows:]
                 busy_was = busy
                 for r, (d, m) in enumerate(zip(delta, vmax)):
                     if ended[r]:

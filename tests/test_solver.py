@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +45,9 @@ def test_advance_rejects_a_single_field(dom63):
     zeros = np.zeros(dom63.size)
     with pytest.raises(ValueError, match=r"\(K, size\)"):
         stepper.advance(zeros, zeros, zeros)
+    stack = np.zeros((2, dom63.size))  # one row more than the stepper has params
+    with pytest.raises(ValueError, match=r"K = 1 rows"):
+        stepper.advance(stack, stack, stack)
 
 
 def _stub_solve(stepper, outputs):
@@ -519,6 +523,81 @@ def test_one_advance_ends_each_row_as_its_solo_step(dom63):
         assert solo.row_iters == [stats.row_iters[r]]
         assert solo.failures == [stats.failures[r]]
         assert solo_stepper.dissipation(solo.vm) == [diss[r]]
+
+
+class _NumpyCountingMaxima:
+    """numpy, with its calls of `maximum.reduce` counted."""
+
+    def __init__(self):
+        self.reductions = 0
+        self.maximum = SimpleNamespace(reduce=self._reduce)
+
+    def _reduce(self, *args, **kwargs):
+        self.reductions += 1
+        return np.maximum.reduce(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_advance_takes_one_max_reduction_per_picard_iteration(dom63, monkeypatch):
+    """|u|_inf, the start's |vm|_inf, the change and |vm|_inf come from one
+    reduction: a step certified by its first solve makes one, and a step
+    whose guess turns non-finite and falls back to v one per iteration."""
+    params, cfg = [dw.ModelParams(omega=0.1, mu=1.0, p=4.0)] * 2, dw.StepConfig(dt=5e-3)
+    stepper, solo = dw.Stepper(dom63, params, cfg), dw.Stepper(dom63, params[:1], cfg)
+    u = np.array([0.5, 2.0])[:, None] * mesh.eigenmode(dom63).values
+    v = np.zeros_like(u)
+    au = stepper.a(u)
+    _, plain = stepper.advance(u, v, au)
+    counting = _NumpyCountingMaxima()
+    monkeypatch.setattr(solver, "np", counting)
+    for r in range(2):
+        _, stats = solo.advance(u[r:r + 1], v[r:r + 1], au[r:r + 1], plain.vm[r:r + 1])
+        assert stats.row_iters == [1]
+        assert counting.reductions == r + 1
+    guess = plain.vm.copy()
+    guess[0, 7] = math.inf
+    counting.reductions = 0
+    _, stats = solo.advance(u[:1], v[:1], au[:1], guess[:1])
+    assert stats.failures == [None]
+    assert stats.row_iters == [plain.row_iters[0] + 1]
+    assert counting.reductions == stats.row_iters[0] >= 2
+    # in a stack every busy row takes each iteration's solve
+    counting.reductions = 0
+    _, stats = stepper.advance(u, v, au, guess)
+    assert stats.row_iters == [plain.row_iters[0] + 1, 1]
+    assert counting.reductions == max(stats.row_iters)
+
+
+def test_contraction_is_the_bound_from_four_separate_maxima(dom63):
+    """Over rows whose |u|_inf spans 1e-3 to 1e3, each row's contraction
+    is, bit for bit, its solo step's and lip (|u|_inf + dt/2
+    max(|vm_0|_inf, |vm_1|_inf + delta))^(p-2) from maxima taken row by row."""
+    dt, p = 1e-4, 4.0
+    cfg = dw.StepConfig(dt=dt)
+    amps = [1e-3, 1e-1, 1e1, 1e3]
+    params = [dw.ModelParams(omega=om, mu=mu, p=p)
+              for om, mu in ((0.1, 1.0), (1.0, 0.0), (0.0, 0.5), (0.1, 1.0))]
+    phi = mesh.eigenmode(dom63).values
+    u = np.array(amps)[:, None] * (phi / np.abs(phi).max())
+    v = 0.1 * u[::-1] * mesh.eigenmode(dom63, (3,)).values
+    stepper = dw.Stepper(dom63, params, cfg)
+    au = stepper.a(u)
+    guess = stepper.advance(u, v, au)[1].vm
+    _, stats = stepper.advance(u, v, au, guess)
+    assert stats.row_iters == [1] * len(amps)
+    for r, prm in enumerate(params):
+        _, solo = dw.Stepper(dom63, [prm], cfg).advance(
+            u[r:r + 1], v[r:r + 1], au[r:r + 1], guess[r:r + 1])
+        vm0, vm1 = guess[r], stats.vm[r]
+        umax, delta = float(np.abs(u[r]).max()), float(np.abs(vm1 - vm0).max())
+        assert umax == amps[r]
+        bound = umax + 0.5 * dt * max(float(np.abs(vm0).max()),
+                                      float(np.abs(vm1).max()) + delta)
+        lip = 0.5 * dt * dt * (p - 1.0) / (2.0 + dt * prm.mu)
+        assert stats.contraction[r] == solo.contraction[0] == lip * bound ** (p - 2.0)
+    assert 0.0 < stats.contraction[0] < 1e-12 < 1e-3 < stats.contraction[-1] < 0.5
 
 
 def test_run_many_advances_once_per_step_when_a_row_fails(dom63, monkeypatch):
