@@ -184,18 +184,17 @@ def _initial_state(exp: Experiment, wc: well.WellConstants) -> SimState:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """A point ready to step: its data, classification, certificate, monitors."""
+    """A point ready to step: its data, classification and certificate."""
 
     exp: Experiment
     outdir: Path
     report: dict  # the report.json entries known before the run
     initial: SimState
     cert: lyapunov.DecayCertificate | None
-    monitors: solver.MonitorSet
 
 
 def _prepare(exp: Experiment, outdir: Path, constants: dict) -> _Prepared:
-    """Constants, initial data, classification, certificate, monitors.
+    """Constants, initial data, classification and certificate.
 
     `constants` maps (domain, p) to the `_well_report` of an earlier
     point, and receives this point's.  The directory and its u0.txt are
@@ -209,17 +208,14 @@ def _prepare(exp: Experiment, outdir: Path, constants: dict) -> _Prepared:
     cls = well.classify(initial, exp.params, wc)
     e0 = cls.E
 
-    cert = None
-    monitors = solver.MonitorSet()
-    if cls.category == "N_plus" and 0.0 < e0 < wc.d:
-        cert = lyapunov.select_constants(e0, exp.params, wc)
-        monitors = solver.MonitorSet(epsilon=cert.epsilon, nehari_invariance=True,
-                                     grad_bound=True, energy_monotone=True)
+    # certified where the classification passes the test of select_constants
+    certified = cls.category == "N_plus" and e0 > 0.0 and cls.smallness_holds
+    cert = lyapunov.select_constants(e0, exp.params, wc) if certified else None
     report = {"config": exp.config, "well": well_report,
               "classification": asdict(cls), "E0": e0}
     outdir.mkdir(parents=True, exist_ok=True)
     mesh.write_field(outdir / "u0.txt", initial.u)
-    return _Prepared(exp, outdir, report, initial, cert, monitors)
+    return _Prepared(exp, outdir, report, initial, cert)
 
 
 def _finish(pt: _Prepared, result) -> dict:
@@ -245,11 +241,15 @@ def _finish(pt: _Prepared, result) -> dict:
 
 
 def _step(points: list[_Prepared]) -> list:
-    """`solver.run_many` over points that share a domain, dt, horizon and p."""
+    """`solver.run_many` over points that share a domain, dt, horizon and p,
+    with every monitor armed for a certified point."""
     first = points[0].exp
+    monitors = [None if pt.cert is None else solver.MonitorSet(
+        epsilon=pt.cert.epsilon, nehari_invariance=True, grad_bound=True,
+        energy_monotone=True) for pt in points]
     return solver.run_many([pt.initial for pt in points],
                            [pt.exp.params for pt in points], first.step,
-                           first.horizon, [pt.monitors for pt in points])
+                           first.horizon, monitors)
 
 
 def cmd_run(exp: Experiment, outdir: Path) -> int:
@@ -392,8 +392,8 @@ def _received(pid: int, status: int, data: bytes) -> list[dict[int, dict]]:
     return results
 
 
-def _map_stacks(stacks: list, cpus: int) -> list[dict[int, dict]]:
-    """`_run_stack` over each stack, in stack order.
+def _map_stacks(stacks: list, cpus: int) -> dict[int, dict]:
+    """`_run_stack` over each stack: every stack's summaries by sweep index.
 
     With `workers = min(cpus, len(stacks))` processes, this one included,
     share i is stacks[i::workers]: this process steps share 0, and one
@@ -402,11 +402,9 @@ def _map_stacks(stacks: list, cpus: int) -> list[dict[int, dict]]:
     and an exception raised in a child is raised again here.  A child that
     ends by a signal or a non-zero status, or with no complete result,
     raises `WorkerLost`.  With one worker, or where the platform does not
-    fork, the stacks step one after another in this process.
+    fork, this process steps every stack in turn.
     """
-    workers = min(cpus, len(stacks))
-    if workers < 2 or not hasattr(os, "fork"):
-        return [_run_stack(members) for members in stacks]
+    workers = max(1, min(cpus, len(stacks))) if hasattr(os, "fork") else 1
     children = []  # (pid, read end of its pipe)
     try:
         for i in range(1, workers):
@@ -421,7 +419,7 @@ def _map_stacks(stacks: list, cpus: int) -> list[dict[int, dict]]:
                 raise
             finally:
                 os.close(write)  # so a dead child's pipe reads EOF at once
-        shares = [[_run_stack(members) for members in stacks[::workers]]]
+        parts = [_run_stack(members) for members in stacks[::workers]]
     finally:
         ended = []
         for pid, read in children:
@@ -430,8 +428,9 @@ def _map_stacks(stacks: list, cpus: int) -> list[dict[int, dict]]:
             with open(read, "rb") as pipe:
                 data = pipe.read()
             ended.append((pid, os.waitpid(pid, 0)[1], data))
-    shares += [_received(*child) for child in ended]
-    return [shares[i % workers][i // workers] for i in range(len(stacks))]
+    for child in ended:
+        parts += _received(*child)
+    return {idx: summary for part in parts for idx, summary in part.items()}
 
 
 def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
@@ -477,8 +476,7 @@ def cmd_sweep(table: dict[str, str], outdir: Path, vary: list[str]) -> int:
         parts = max(1, min(math.ceil(cpus * len(members) / stepped),
                            len(members) // MIN_STACK_ROWS))
         stacks += [members[i::parts] for i in range(parts)]
-    for part in _map_stacks(stacks, cpus):
-        summaries.update(part)
+    summaries.update(_map_stacks(stacks, cpus))
 
     path = outdir / "sweep.csv"
     with open(path, "w") as fh:

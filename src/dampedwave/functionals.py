@@ -1,9 +1,10 @@
 """Energy machinery: model parameters, states and the functionals I, J, E.
 
 `energy_terms` is the one place that evaluates I, J and E, for a stack of
-rows; `total_energy` applies it to one state.  The dissipation
--omega ||grad u_t||^2 - mu ||u_t||^2 of the energy identity is evaluated
-at each step's midpoint by `solver.Stepper.dissipation`.
+rows; `total_energy` applies it to one state; `scale_invariant_tol` is the
+dead band on the sign of I.  The dissipation -omega ||grad u_t||^2 -
+mu ||u_t||^2 of the energy identity is evaluated at each step's midpoint by
+`solver.Stepper.dissipation`.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ class EnergyReport:
     kinetic: float
     grad_sq: float
     lp_p: float
+
+
+def scale_invariant_tol(grad_sq: float, lp_p: float) -> float:
+    """Dead band for the sign of I; the continuum sets use strict signs."""
+    return 1e-9 * max(grad_sq, lp_p)
 
 
 def energy_terms(u: np.ndarray, au: np.ndarray, v: np.ndarray, w: float,

@@ -262,11 +262,9 @@ def shifted_solver(domain: Domain, c0, c1):
 def row_dots(x: np.ndarray, y: np.ndarray) -> list[float]:
     """x[k] @ y[k] for each row of two (K, n) stacks, as Python floats.
 
-    Each row is one dot product of its own, so it rounds exactly as the dot
-    of that row alone.
+    Each row is one dot product of its own, a (1, n) @ (n, 1) matmul, so it
+    rounds exactly as the dot of that row alone, at K = 1 too.
     """
-    if len(x) == 1:
-        return [float(np.vdot(x, y))]
     return np.matmul(x[:, None, :], y[:, :, None]).ravel().tolist()
 
 

@@ -23,14 +23,10 @@ take one solve.
 
 `run_many` steps trajectories that share a domain, dt, horizon and p as one
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
-its one-row case.  A step is one `advance` call and one A @ u.  The energy,
-the midpoint dissipation and the sample's v @ u and v @ A v are evaluated
-once per block of steps (`_fold`), which then walks each row through the
-block in step order and ends it at its first failed step, monitor,
-threshold or horizon.  A step fails for a row when `advance` reports it
-(`StepStats.failures`) or when it leaves a NaN or Inf in the row's u or v.
-A row is stepped up to one block past its ending, and those steps are
-dropped, so they cannot affect any result.
+its one-row case.  A step is one `advance` call and one A @ u, under the one
+np.errstate of the step loop; the energy and the samples wait for a block
+of steps (`_fold`).  The solver imports no theory module: the certificate
+reaches it as `MonitorSet.epsilon` and the monitors' flags.
 """
 
 from __future__ import annotations
@@ -38,13 +34,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import mesh
-from .functionals import ModelParams, SimState, energy_terms
+from .functionals import ModelParams, SimState, energy_terms, scale_invariant_tol
 from .series import TimeSeries
-from .well import WellConstants, scale_invariant_tol
+
+if TYPE_CHECKING:
+    from .well import WellConstants
 
 SAMPLE_EVERY_STEP_MAX_NODES = 255  # above this, sample every 10th step
 ENERGY_TOL_COEFF = 100.0  # monotone-energy allowance: coeff * dt^3 * max(1, E0)
@@ -171,6 +170,9 @@ class Stepper:
         after PICARD_MAX solves from its start, starts again from v if it
         started elsewhere, and otherwise fails: its entry of
         `StepStats.failures` says why, and its u and v are returned as given.
+        The caller owns numpy's error state: a step near blow-up overflows,
+        which warns unless the caller holds np.errstate, as `run_many` does;
+        the state changes the warnings only, never what is returned.
         """
         if u.ndim != 2 or len(u) != len(self._lip):
             raise ValueError(f"advance takes (K, size) stacks of K = {len(self._lip)} "
@@ -188,57 +190,55 @@ class Stepper:
         busy = n_rows
         vm = v if guess is None else guess
         lead = (u, vm)  # |u|_inf and the start's |vm|_inf join the first reduction
-        # Overflow near blow-up is expected; non-finite values end the row.
-        with np.errstate(over="ignore", invalid="ignore"):
-            while busy:
-                um = u + half_dt * vm
-                rhs = base + dt * self._nonlinear(um)
-                vm_new = self._solve(rhs)
-                if fixed is not None:
-                    vm_new[fixed] = vm[fixed]
-                stacked = np.concatenate((*lead, vm_new - vm, vm_new))
-                # max propagates NaN and inf, so this also checks for both
-                maxima = np.maximum.reduce(np.abs(stacked, out=stacked),
-                                           axis=-1).tolist()
-                if lead:
-                    umax, vmax = maxima[:n_rows], maxima[n_rows:2 * n_rows]
-                    del maxima[:2 * n_rows]
-                    lead = ()
-                vm, prev = vm_new, vmax
-                delta, vmax = maxima[:n_rows], maxima[n_rows:]
-                busy_was = busy
-                for r, (d, m) in enumerate(zip(delta, vmax)):
+        while busy:
+            um = u + half_dt * vm
+            rhs = base + dt * self._nonlinear(um)
+            vm_new = self._solve(rhs)
+            if fixed is not None:
+                vm_new[fixed] = vm[fixed]
+            stacked = np.concatenate((*lead, vm_new - vm, vm_new))
+            # max propagates NaN and inf, so this also checks for both
+            maxima = np.maximum.reduce(np.abs(stacked, out=stacked),
+                                       axis=-1).tolist()
+            if lead:
+                umax, vmax = maxima[:n_rows], maxima[n_rows:2 * n_rows]
+                del maxima[:2 * n_rows]
+                lead = ()
+            vm, prev = vm_new, vmax
+            delta, vmax = maxima[:n_rows], maxima[n_rows:]
+            busy_was = busy
+            for r, (d, m) in enumerate(zip(delta, vmax)):
+                if ended[r]:
+                    continue
+                solves[r] += 1
+                if math.isfinite(m):
+                    tol = PICARD_TOL * max(1.0, m)
+                    bound = umax[r] + half_dt * max(prev[r], m + d)
+                    try:
+                        rho_k = self._lip[r] * bound ** q
+                    except OverflowError:  # so large a bound never contracts
+                        rho_k = math.inf
+                    if rho_k < 0.5 and rho_k * d <= (1.0 - rho_k) * tol:
+                        ended[r], rho[r] = True, rho_k
+                    elif d <= tol:
+                        ended[r] = True
                     if ended[r]:
-                        continue
-                    solves[r] += 1
-                    if math.isfinite(m):
-                        tol = PICARD_TOL * max(1.0, m)
-                        bound = umax[r] + half_dt * max(prev[r], m + d)
-                        try:
-                            rho_k = self._lip[r] * bound ** q
-                        except OverflowError:  # so large a bound never contracts
-                            rho_k = math.inf
-                        if rho_k < 0.5 and rho_k * d <= (1.0 - rho_k) * tol:
-                            ended[r], rho[r] = True, rho_k
-                        elif d <= tol:
-                            ended[r] = True
-                        if ended[r]:
-                            busy -= 1
-                        if ended[r] or solves[r] < PICARD_MAX:
-                            continue
-                        failure = f"Picard stalled after {PICARD_MAX} iterations"
-                    else:
-                        failure = "midpoint solve produced non-finite values"
-                    vm[r] = v[r]
-                    if not spent[r] and guess is not None and not np.array_equal(
-                            guess[r], v[r]):
-                        spent[r], solves[r] = solves[r], 0
-                        vmax[r] = float(np.abs(v[r]).max())
-                    else:
-                        failures[r], ended[r] = failure, True
                         busy -= 1
-                if busy and busy < busy_was:
-                    fixed = np.array(ended, dtype=bool)
+                    if ended[r] or solves[r] < PICARD_MAX:
+                        continue
+                    failure = f"Picard stalled after {PICARD_MAX} iterations"
+                else:
+                    failure = "midpoint solve produced non-finite values"
+                vm[r] = v[r]
+                if not spent[r] and guess is not None and not np.array_equal(
+                        guess[r], v[r]):
+                    spent[r], solves[r] = solves[r], 0
+                    vmax[r] = float(np.abs(v[r]).max())
+                else:
+                    failures[r], ended[r] = failure, True
+                    busy -= 1
+            if busy and busy < busy_was:
+                fixed = np.array(ended, dtype=bool)
         u_new, v_new = u + dt * vm, 2.0 * vm - v
         failed = [r for r, failure in enumerate(failures) if failure]
         if failed:
@@ -267,7 +267,7 @@ def start_guess(history: Sequence[np.ndarray]) -> np.ndarray | None:
 
     Each entry is a (K, size) stack; the combination is elementwise, so each
     row rounds as it does alone.  An overflowing guess is non-finite, which
-    `advance` falls back from; `run_many` calls this under np.errstate.
+    `advance` falls back from; as for `advance`, the caller owns np.errstate.
     """
     if len(history) >= HISTORY:
         h5, h4, h3, h2, h1 = history[-HISTORY:]
@@ -464,9 +464,10 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     history: list[np.ndarray] = []  # the last HISTORY midpoint velocities
     block: list = []  # the steps not yet folded, see `_fold`
 
-    # overflow is expected in a guess, which `advance` falls back from, in a
-    # step that goes non-finite, which `_fold` fails, and in a row stepped
-    # past its ending, whose steps `_fold` drops
+    # the step loop's one error state, which `advance` and `start_guess`
+    # leave to their caller: overflow is expected in a guess, which `advance`
+    # falls back from, in a step that goes non-finite, which `_fold` fails,
+    # and in a row stepped past its ending, whose steps `_fold` drops
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             (u, v), stats = stepper.advance(u, v, au, start_guess(history))

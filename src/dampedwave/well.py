@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh
-from .functionals import ModelParams, SimState, total_energy
+from .functionals import ModelParams, SimState, scale_invariant_tol, total_energy
 from .mesh import Domain, GridField
 
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -149,11 +149,6 @@ def nehari_scale(u: GridField, p: float) -> float:
     g = mesh.grad_norm_sq(u)
     pw = mesh.lp_norm_p(u, p)
     return (g / pw) ** (1.0 / (p - 2.0))
-
-
-def scale_invariant_tol(grad_sq: float, lp_p: float) -> float:
-    """Dead band for the sign of I; the continuum sets use strict signs."""
-    return 1e-9 * max(grad_sq, lp_p)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -353,6 +354,31 @@ def test_run_stable_writes_certificate(tmp_path):
     assert report["classification"]["category"] == "N_plus"
     assert report["certificate"]["violated_at"] is None
     assert report["equivalence"]["passed"]
+
+
+def test_certifiability_is_the_classification_smallness_test(tmp_path, capsys,
+                                                             monkeypatch):
+    """A point is certified when its classification says it can be.  One ulp
+    under the well depth, E0 < d holds but the smallness condition does not
+    (K = 1.0 on the default interval at p = 4), so the run is uncertified
+    and exits 0 instead of failing in `select_constants`."""
+    classify = well.classify
+
+    def below_d(state, params, wc):
+        e0 = float(np.nextafter(wc.d, 0.0))
+        small = well.admissibility_quantity(e0, wc.c_star, params.p) < 1.0
+        return dataclasses.replace(classify(state, params, wc), E=e0,
+                                   smallness_holds=small)
+    monkeypatch.setattr(well, "classify", below_d)
+    code = cli.main(["run", "--out", str(tmp_path), "--set", "run.horizon=0.2",
+                     "--set", "step.dt=0.01"])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["E0"] < report["well"]["d"]
+    assert report["classification"]["category"] == "N_plus"
+    assert report["classification"]["smallness_holds"] is False
+    assert "certificate" not in report
+    assert report["outcome"]["kind"] == "completed"
 
 
 def test_run_unstable_reports_blowup(tmp_path):

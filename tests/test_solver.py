@@ -82,7 +82,8 @@ def test_overflowing_picard_change_is_not_non_finite(dom63):
     calls = _stub_solve(stepper, [np.full(dom63.size, 1e308),
                                   np.full(dom63.size, -1e308)])
     u, v = np.full((1, dom63.size), 0.5), np.full((1, dom63.size), -0.25)
-    (u_new, v_new), stats = stepper.advance(u, v, np.zeros_like(u))
+    with np.errstate(over="ignore", invalid="ignore"):  # the change overflows
+        (u_new, v_new), stats = stepper.advance(u, v, np.zeros_like(u))
     assert stats.failures == [f"Picard stalled after {solver.PICARD_MAX} iterations"]
     assert len(calls) == solver.PICARD_MAX == stats.row_iters[0]
     assert u_new.tobytes() == u.tobytes() and v_new.tobytes() == v.tobytes()
@@ -160,7 +161,8 @@ def test_contraction_test_falls_back_to_the_change_test(dom63, level, n_solves, 
     # the second change, 5e-12, fails the change test; the third is 0
     calls = _stub_solve(stepper, [out, out + 5e-12, out + 5e-12])
     u, zeros = np.full((1, dom63.size), level), np.zeros((1, dom63.size))
-    _, stats = stepper.advance(u, zeros, zeros)
+    with np.errstate(over="ignore", invalid="ignore"):  # the source term overflows at level 1e200
+        _, stats = stepper.advance(u, zeros, zeros)
     assert len(calls) == stats.picard_iters == n_solves
     (rho,) = stats.contraction
     if by_rho:
@@ -415,6 +417,7 @@ GUESS = st.tuples(st.sampled_from([0.0, 1.0, 10.0]), NODE_VALUES)
 @given(rows=st.lists(st.tuples(NODE_VALUES, NODE_VALUES, DAMPING, GUESS),
                      min_size=1, max_size=3),
        amp=st.floats(min_value=0.0, max_value=60.0), p=st.sampled_from([3.0, 4.0, 5.0]))
+@np.errstate(over="ignore", invalid="ignore")  # a guess far from vm may overflow
 def test_any_start_guess_keeps_the_picard_tolerance(rows, amp, p):
     """From any guess, a row that converges from v converges, within
     PICARD_TOL of the step's fixed point wherever the contraction bound ended
@@ -468,10 +471,39 @@ def test_a_failed_guess_falls_back_to_v(dom63):
     (u_v, v_v), plain = stepper.advance(u, v, au)
     guess = plain.vm.copy()
     guess[0, 7] = math.inf
-    (u_g, v_g), stats = stepper.advance(u, v, au, guess)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (u_g, v_g), stats = stepper.advance(u, v, au, guess)
     assert u_g[0].tobytes() == u_v[0].tobytes() and v_g[0].tobytes() == v_v[0].tobytes()
     assert stats.row_iters[0] == plain.row_iters[0] + 1
     assert stats.row_iters[1] == 1 < plain.row_iters[1]  # certified by its first solve
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_caller_of_advance_owns_the_error_state(dom63):
+    """An overflowing step warns outside np.errstate and returns, bit for
+    bit, what it returns inside it; `run_many` holds that state over its
+    whole step loop, so a stack with a row that blows up warns nothing."""
+    stepper = dw.Stepper(dom63, [dw.ModelParams(omega=0.1, mu=1.0, p=4.0)],
+                         dw.StepConfig(dt=5e-3))
+    u = 0.5 * mesh.eigenmode(dom63).values[None]
+    v = np.zeros_like(u)
+    au, guess = stepper.a(u), np.full_like(u, math.inf)
+    with pytest.warns(RuntimeWarning):
+        (u_w, v_w), warned = stepper.advance(u, v, au, guess)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (u_q, v_q), quiet = stepper.advance(u, v, au, guess)
+    assert warned.failures == quiet.failures == [None]
+    assert warned.row_iters == quiet.row_iters and quiet.row_iters[0] >= 2
+    for got, want in ((u_w, u_q), (v_w, v_q), (warned.vm, quiet.vm)):
+        assert got.tobytes() == want.tobytes()
+
+    phi = mesh.eigenmode(dom63).values
+    states = [dw.SimState.rest(dw.GridField(dom63, amp * phi)) for amp in (0.5, 20.0)]
+    (_, calm), (_, blown) = dw.run_many(states, [dw.ModelParams(omega=0.0, mu=1.0,
+                                                                p=4.0)] * 2,
+                                        dw.StepConfig(dt=5e-3), 0.2)
+    assert calm.kind == "completed"
+    assert blown.kind == "blew_up" and "non-finite" in blown.details
 
 
 def test_a_stalled_guess_falls_back_to_v(dom63):
@@ -483,13 +515,16 @@ def test_a_stalled_guess_falls_back_to_v(dom63):
     fixed = np.full(dom63.size, 0.125)
     calls = _stub_solve(stepper, stall + [fixed] * 3)
     u, v = np.full((1, dom63.size), 0.5), np.full((1, dom63.size), -0.25)
-    (u_new, v_new), stats = stepper.advance(u, v, np.zeros_like(u), np.full_like(v, 3.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # the stalled changes overflow
+        (u_new, v_new), stats = stepper.advance(u, v, np.zeros_like(u),
+                                                np.full_like(v, 3.0))
     assert stats.failures == [None]
     assert len(calls) == solver.PICARD_MAX + 2 == stats.row_iters[0]
     assert stats.vm.tobytes() == fixed[None].tobytes()
     assert v_new.tobytes() == (2.0 * fixed - v).tobytes()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the last row overflows
 def test_one_advance_ends_each_row_as_its_solo_step(dom63):
     """In one pass, a row that converges from its guess, a row whose guess
     turns non-finite and a row that fails from v, each under its own damping,
@@ -540,6 +575,7 @@ class _NumpyCountingMaxima:
         return getattr(np, name)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite guess
 def test_advance_takes_one_max_reduction_per_picard_iteration(dom63, monkeypatch):
     """|u|_inf, the start's |vm|_inf, the change and |vm|_inf come from one
     reduction: a step certified by its first solve makes one, and a step

@@ -79,6 +79,31 @@ def test_runtime_imports_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_solver_imports_no_theory_module():
+    """The solver integrates; the potential well and the Lyapunov
+    certificate read its series.  So `solver.py` imports neither `well` nor
+    `lyapunov` when it runs; an import for annotations under
+    `if TYPE_CHECKING:` does not run."""
+    tree = ast.parse((ROOT / "src" / "dampedwave" / "solver.py").read_text())
+    checking_only = {id(node) for branch in ast.walk(tree)
+                     if isinstance(branch, ast.If)
+                     and ast.unparse(branch.test) == "TYPE_CHECKING"
+                     for stmt in branch.body for node in ast.walk(stmt)}
+    imported = set()
+    for node in ast.walk(tree):
+        if id(node) in checking_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            if not node.module:  # from . import a, b
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    modules = {name.rsplit(".", 1)[-1] for name in imported}
+    assert "mesh" in modules and "functionals" in modules
+    assert not modules & {"well", "lyapunov"}, sorted(imported)
+
+
 def test_tracer_counts_the_step_loop(monkeypatch):
     """The benchmark's per-layer hook sees every step, solve and sample of `run`."""
     dom = dw.interval(1.0, 63)
