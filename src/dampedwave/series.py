@@ -6,6 +6,8 @@ reads its floats back bit for bit.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 COLUMNS = ("t", "E", "I", "J", "L", "kinetic", "grad_sq", "lp_p", "l2_v", "grad_v_sq")
@@ -17,47 +19,40 @@ CSV_CHUNK_ROWS = 256  # rows formatted per write
 class TimeSeries:
     """Samples of (t, E, I, J, L, kinetic, grad_sq, lp_p, l2_v, grad_v_sq).
 
-    The samples live in one float64 buffer of one column per name, which
-    starts empty and doubles when an append finds it full.
+    The samples live in one flat float64 `array`, sample after sample with
+    one value per name, which grows as samples are appended.
     """
 
     def __init__(self):
-        self._buf = np.empty((0, len(COLUMNS)))
-        self._n = 0
+        self._buf = array("d")
 
     def append(self, *values: float) -> None:
         """Add one sample, its values given in `COLUMNS` order."""
         if len(values) != len(COLUMNS):
             raise ValueError(f"need {len(COLUMNS)} values, got {len(values)}")
-        if self._n == len(self._buf):
-            grown = np.empty((max(16, 2 * self._n), len(COLUMNS)))
-            grown[:self._n] = self._buf
-            self._buf = grown
-        self._buf[self._n] = values
-        self._n += 1
+        self._buf.extend(values)
 
     def col(self, name: str) -> np.ndarray:
-        return self._buf[:self._n, _INDEX[name]].copy()
+        return np.frombuffer(self._buf)[_INDEX[name]::len(COLUMNS)].copy()
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._buf) // len(COLUMNS)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(COLUMNS) + "\n")
-            # a chunk of rows per write: one list of Python floats for the
+            # a chunk of rows per write: one tuple of Python floats for the
             # whole buffer would cost several times the buffer's own memory
-            for start in range(0, self._n, CSV_CHUNK_ROWS):
-                chunk = self._buf[start:min(start + CSV_CHUNK_ROWS, self._n)]
-                fh.write((_ROW_FORMAT * len(chunk)) % tuple(chunk.ravel().tolist()))
+            step = CSV_CHUNK_ROWS * len(COLUMNS)
+            for start in range(0, len(self._buf), step):
+                chunk = self._buf[start:start + step]
+                fh.write((_ROW_FORMAT * (len(chunk) // len(COLUMNS))) % tuple(chunk))
 
     @classmethod
     def from_arrays(cls, **cols) -> "TimeSeries":
         """Build a series from named arrays; missing columns default to 0."""
-        k = len(next(iter(cols.values())))
-        zeros = np.zeros(k)
+        zeros = np.zeros(len(next(iter(cols.values()))))
         series = cls()
-        series._buf = np.column_stack([np.asarray(cols.get(name, zeros), dtype=float)
-                                       for name in COLUMNS])
-        series._n = k
+        series._buf.frombytes(np.column_stack(
+            [np.asarray(cols.get(name, zeros), dtype=float) for name in COLUMNS]).tobytes())
         return series

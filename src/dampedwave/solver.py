@@ -48,7 +48,6 @@ if TYPE_CHECKING:
 SAMPLE_EVERY_STEP_MAX_NODES = 255  # above this, sample every 10th step
 ENERGY_TOL_COEFF = 100.0  # monotone-energy allowance: coeff * dt^3 * max(1, E0)
 BLOWUP_NORM_THRESHOLD = 1e6  # ||grad u|| + ||u_t|| at which a run has blown up
-GROWTH_WINDOW = 10  # samples over which a failed step must show growth
 FIT_SAMPLES = 30  # trailing samples in the pole fit of T_max
 PICARD_TOL = 1e-12  # bound on |vm - fixed point|_inf / max(1, |vm|_inf)
 PICARD_MAX = 50  # Picard iterations before a step fails
@@ -341,8 +340,8 @@ class _Row:
         """This row's result, ended now with outcome `kind`, on its full series.
 
         After a failed step (`kind` "failed", `details` the failure) the row
-        has blown up if its series shows growth, and otherwise ends in the
-        StepFailure.
+        has blown up if its last sample lies in N_minus (`detect_blowup`),
+        and otherwise ends in the StepFailure.
         """
         est = None
         if kind in ("blew_up", "failed"):
@@ -542,18 +541,23 @@ def _pole_fit(t: np.ndarray, y: np.ndarray) -> float:
 def detect_blowup(series: TimeSeries, step_failed: bool = False) -> float | None:
     """Blow-up time estimate, or None when the series shows no divergence.
 
-    Decides at the last sample, on the divergence norm ||grad u|| + ||u_t||:
-    it fires when that sample is past BLOWUP_NORM_THRESHOLD, or, after a
-    failed step, when the norm grew over the trailing GROWTH_WINDOW samples.
-    The estimate extrapolates a power-law pole through the last FIT_SAMPLES
-    samples.
+    Decides at the last sample.  It fires when that sample's divergence norm
+    ||grad u|| + ||u_t|| is past BLOWUP_NORM_THRESHOLD, or, after a failed
+    step, when the series holds a sample after its start and the last one
+    lies in N_minus, I < -scale_invariant_tol(grad_sq, lp_p).  While I >= 0,
+    E(0) >= E >= J >= (p-2)/(2p) ||grad u||^2 bounds the state (Payne and
+    Sattinger, Israel J. Math. 22, 1975), so a step that fails there is the
+    scheme's failure, not a blow-up; above the well depth the rule is not a
+    theorem.  The estimate extrapolates a power-law pole through the last
+    FIT_SAMPLES samples.
     """
     if len(series) == 0:
         raise ValueError("empty series")
-    t = series.col("t")
-    y = np.sqrt(series.col("grad_sq")) + np.sqrt(series.col("l2_v"))
-    w = min(GROWTH_WINDOW, len(y) - 1)
-    if not (y[-1] > BLOWUP_NORM_THRESHOLD or step_failed and y[-1] > y[-1 - w]):
+    t, grad_sq = series.col("t"), series.col("grad_sq")
+    y = np.sqrt(grad_sq) + np.sqrt(series.col("l2_v"))
+    if not (y[-1] > BLOWUP_NORM_THRESHOLD or step_failed and len(y) > 1
+            and series.col("I")[-1] < -scale_invariant_tol(grad_sq[-1],
+                                                            series.col("lp_p")[-1])):
         return None
     tt, yy = t[-FIT_SAMPLES:], y[-FIT_SAMPLES:]
     keep = yy > 0

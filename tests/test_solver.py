@@ -246,6 +246,45 @@ def test_unstable_run_ends_on_the_threshold(dom63, wc63_p4):
     assert dw.detect_blowup(series) == outcome.t_max_estimate
 
 
+@pytest.mark.parametrize("at", [2, 5, 10, 20])
+def test_stable_run_whose_step_fails_raises(monkeypatch, at):
+    """Stable data stay in the positive Nehari set, where the energy bounds
+    the state, so a step that leaves a NaN there ends the run in the
+    StepFailure, however early it fails and whatever the norm did before."""
+    dom = dw.interval(1.0, 31)
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    u0, u1 = dw.prepare_initial_data(dom, params, dw.well_constants(dom, 4.0),
+                                     ("stable", 0.5))
+    advance, steps = dw.Stepper.advance, [0]
+
+    def corrupting(self, u, *args):
+        (u, v), stats = advance(self, u, *args)
+        steps[0] += 1
+        if steps[0] == at:
+            u[0] = np.nan
+        return (u, v), stats
+    monkeypatch.setattr(dw.Stepper, "advance", corrupting)
+    with pytest.raises(solver.StepFailure, match="^step produced non-finite values$"):
+        dw.run(dw.SimState(0.0, u0, u1), params, dw.StepConfig(dt=0.01), 1.0)
+
+
+def test_high_energy_run_that_stalls_in_n_minus_blows_up(dom63, wc63_p4):
+    """Above the well depth neither sign of I bounds the state.  Data at rest
+    kicked along the first mode with E0 = 20 d leave the positive Nehari set,
+    and the step that stalls there ends the run blown up."""
+    phi = mesh.eigenmode(dom63).values
+    kick = math.sqrt(40.0 * wc63_p4.d / (dom63.weight * float(phi @ phi)))
+    params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
+    state = dw.SimState(0.0, dw.GridField.zeros(dom63), dw.GridField(dom63, kick * phi))
+    series, outcome = dw.run(state, params, dw.StepConfig(dt=5e-3), 5.0)
+    assert series.col("E")[0] == pytest.approx(20.0 * wc63_p4.d, rel=1e-12)
+    assert series.col("I")[-1] < 0
+    assert outcome.kind == "blew_up"
+    assert outcome.details == f"Picard stalled after {solver.PICARD_MAX} iterations"
+    assert outcome.T == pytest.approx(0.46, rel=1e-12)
+    assert outcome.t_max_estimate == pytest.approx(0.469, abs=1e-3)
+
+
 def test_2d_run_dissipates(rng):
     dom = dw.rectangle((1.0, 1.0), (15, 15))
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
@@ -309,11 +348,22 @@ class TestDetectBlowup:
         assert dw.detect_blowup(series) is None
 
     def test_step_failure_with_growth(self):
+        """Below the threshold, a failed step is a blow-up when the last
+        sample lies in N_minus, whatever the growth: a growing series with
+        I < 0 gets an estimate, the same series with I > 0 none, and so does
+        a lone sample with I < 0, whose first step failed."""
         t = np.arange(20.0)
-        y = np.exp(t)
-        series = TimeSeries.from_arrays(t=t, grad_sq=y**2,
-                                        l2_v=np.zeros_like(y))
-        assert dw.detect_blowup(series, step_failed=True) is not None
+        grad_sq = np.exp(t)  # the norm ends at e^9.5, far below the threshold
+
+        def series(lp_over_grad, k=len(t)):
+            return TimeSeries.from_arrays(
+                t=t[:k], grad_sq=grad_sq[:k], lp_p=lp_over_grad * grad_sq[:k],
+                I=(1.0 - lp_over_grad) * grad_sq[:k])
+        assert series(2.0).col("I")[-1] < 0 < series(0.5).col("I")[-1]
+        assert dw.detect_blowup(series(2.0)) is None
+        assert dw.detect_blowup(series(2.0), step_failed=True) is not None
+        assert dw.detect_blowup(series(0.5), step_failed=True) is None
+        assert dw.detect_blowup(series(2.0, k=1), step_failed=True) is None
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
@@ -801,7 +851,7 @@ BLOCK_CASES = {
 def test_rows_ending_inside_a_block_match_per_step_stepping(case, block_values,
                                                              monkeypatch):
     """Every way a stacked row can end: a failed first step, a failed step
-    with growth, the threshold, each monitor and the horizon, which is no
+    in N_minus, the threshold, each monitor and the horizon, which is no
     multiple of the block.  Each row equals its solo run and the
     hand-stepped reference bit for bit, from blocks of one step to one block
     for the run; 4096 is a block a third the size of the default.
@@ -877,8 +927,8 @@ def test_a_step_past_a_rows_ending_cannot_raise(dom63, monkeypatch):
     corrupt[0], stacks[:] = 1, []
     blown, failed = dw.run_many(states, params, cfg, horizon, monitors)
     _assert_rows_equal(blown, solo[0])
-    # the calm row reaches step 11 with a NaN u: that step fails, and with no
-    # growth in its series the row ends in the StepFailure
+    # the calm row reaches step 11 with a NaN u: that step fails, and with its
+    # last sample outside N_minus the row ends in the StepFailure
     assert isinstance(failed, solver.StepFailure)
     assert str(failed) == "step produced non-finite values"
 
