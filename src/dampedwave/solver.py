@@ -73,7 +73,7 @@ class StepConfig:
 
 @dataclass(slots=True)
 class StepStats:
-    row_iters: list[int]  # linear solves per row, a fallback from its guess included
+    row_iters: list[int]  # linear solves per row
     # per row, the contraction constant rho that ended the row's iteration,
     # or inf where the test on the change alone ended it
     contraction: list[float]
@@ -165,10 +165,10 @@ class Stepper:
         every maximum, and so every rho and every stop, is the one the row
         gives alone.
 
-        A row whose iterate turns non-finite, or that has not converged
-        after PICARD_MAX solves from its start, starts again from v if it
-        started elsewhere, and otherwise fails: its entry of
-        `StepStats.failures` says why, and its u and v are returned as given.
+        Each row starts once.  A row whose iterate turns non-finite, or that
+        has not converged after PICARD_MAX solves, fails, whether it started
+        from a guess or from v: its entry of `StepStats.failures` says why,
+        its midpoint velocity is v, and its u and v are returned as given.
         The caller owns numpy's error state: a step near blow-up overflows,
         which warns unless the caller holds np.errstate, as `run_many` does;
         the state changes the warnings only, never what is returned.
@@ -180,8 +180,7 @@ class Stepper:
         half_dt = 0.5 * dt
         base = 2.0 * v - dt * au
         n_rows = len(u)
-        solves = [0] * n_rows  # since the row's start
-        spent = [0] * n_rows  # on a guess the row fell back from
+        solves = [0] * n_rows
         ended = [False] * n_rows  # converged or failed: the row stays fixed
         rho = [math.inf] * n_rows
         failures: list[str | None] = [None] * n_rows
@@ -218,24 +217,17 @@ class Stepper:
                     except OverflowError:  # so large a bound never contracts
                         rho_k = math.inf
                     if rho_k < 0.5 and rho_k * d <= (1.0 - rho_k) * tol:
-                        ended[r], rho[r] = True, rho_k
-                    elif d <= tol:
-                        ended[r] = True
-                    if ended[r]:
-                        busy -= 1
-                    if ended[r] or solves[r] < PICARD_MAX:
-                        continue
-                    failure = f"Picard stalled after {PICARD_MAX} iterations"
+                        rho[r] = rho_k
+                    elif d > tol:
+                        if solves[r] < PICARD_MAX:
+                            continue
+                        failures[r] = f"Picard stalled after {PICARD_MAX} iterations"
                 else:
-                    failure = "midpoint solve produced non-finite values"
-                vm[r] = v[r]
-                if not spent[r] and guess is not None and not np.array_equal(
-                        guess[r], v[r]):
-                    spent[r], solves[r] = solves[r], 0
-                    vmax[r] = float(np.abs(v[r]).max())
-                else:
-                    failures[r], ended[r] = failure, True
-                    busy -= 1
+                    failures[r] = "midpoint solve produced non-finite values"
+                if failures[r]:
+                    vm[r] = v[r]
+                ended[r] = True
+                busy -= 1
             if busy and busy < busy_was:
                 fixed = np.array(ended, dtype=bool)
         u_new, v_new = u + dt * vm, 2.0 * vm - v
@@ -243,8 +235,7 @@ class Stepper:
         if failed:
             u_new[failed], v_new[failed] = u[failed], v[failed]
         return (u_new, v_new), StepStats(
-            row_iters=[s + i for s, i in zip(spent, solves)],
-            contraction=rho, vm=vm, failures=failures)
+            row_iters=solves, contraction=rho, vm=vm, failures=failures)
 
     def dissipation(self, vm: np.ndarray) -> list[float]:
         """-omega |grad vm|^2 - mu |vm|^2, the dissipation identity at the
@@ -266,7 +257,8 @@ def start_guess(history: Sequence[np.ndarray]) -> np.ndarray | None:
 
     Each entry is a (K, size) stack; the combination is elementwise, so each
     row rounds as it does alone.  An overflowing guess is non-finite, which
-    `advance` falls back from; as for `advance`, the caller owns np.errstate.
+    fails the row's step in `advance`; as for `advance`, the caller owns
+    np.errstate.
     """
     if len(history) >= HISTORY:
         h5, h4, h3, h2, h1 = history[-HISTORY:]
@@ -464,9 +456,9 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     block: list = []  # the steps not yet folded, see `_fold`
 
     # the step loop's one error state, which `advance` and `start_guess`
-    # leave to their caller: overflow is expected in a guess, which `advance`
-    # falls back from, in a step that goes non-finite, which `_fold` fails,
-    # and in a row stepped past its ending, whose steps `_fold` drops
+    # leave to their caller: overflow is expected in a guess or a step that
+    # goes non-finite, which fails the row's step, and in a row stepped past
+    # its ending, whose steps `_fold` drops
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             (u, v), stats = stepper.advance(u, v, au, start_guess(history))

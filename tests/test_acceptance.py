@@ -178,13 +178,38 @@ def test_ac4_linear_mode_oracle(source_free_stepper):
                    f"rate {rate:.6f} vs {target:.6f} ({rate_err:.2e})")
 
 
-def test_ac5_blowup_alternative(domain, constants):
-    """Unstable(0.9) data diverges with a finite blow-up time estimate."""
+AC5_DTS = (1e-3, 5e-4)
+
+
+@pytest.fixture(scope="module")
+def ac5_runs(domain, constants):
+    """dt -> the AC-5 run, unstable(0.9) data with omega = 0, mu = 1 and
+    p = 4 to horizon 50, as (series, outcome, stats), where stats holds the
+    StepStats of each step the run kept, in order."""
     wc = constants[4.0]
     params = dw.ModelParams(omega=0.0, mu=1.0, p=4.0)
     u0, u1 = dw.prepare_initial_data(domain, params, wc, ("unstable", 0.9))
-    series, outcome = dw.run(dw.SimState(0.0, u0, u1), params,
-                             dw.StepConfig(dt=1e-3), 50.0)
+    advance = dw.Stepper.advance
+    runs = {}
+    for dt in AC5_DTS:
+        stats = []
+
+        def recorded(self, *args):
+            step = advance(self, *args)
+            stats.append(step[1])
+            return step
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dw.Stepper, "advance", recorded)
+            series, outcome = dw.run(dw.SimState(0.0, u0, u1), params,
+                                     dw.StepConfig(dt=dt), 50.0)
+        runs[dt] = series, outcome, stats[:round(outcome.T / dt)]
+    return runs
+
+
+def test_ac5_blowup_alternative(ac5_runs, constants):
+    """Unstable(0.9) data diverges with a finite blow-up time estimate."""
+    wc = constants[4.0]
+    series, outcome, _ = ac5_runs[1e-3]
     grad = np.sqrt(series.col("grad_sq"))
     checks = {
         "blew_up": outcome.kind == "blew_up",
@@ -198,21 +223,29 @@ def test_ac5_blowup_alternative(domain, constants):
                    f"max grad {grad.max():.3e} vs 100*beta {100 * wc.beta:.3e}")
 
 
-def test_ac5_t_max_converges_in_dt(domain, constants):
+def test_ac5_t_max_converges_in_dt(ac5_runs):
     """The AC-5 blow-up time estimate agrees within 0.5% when dt is halved."""
-    wc = constants[4.0]
-    params = dw.ModelParams(omega=0.0, mu=1.0, p=4.0)
-    u0, u1 = dw.prepare_initial_data(domain, params, wc, ("unstable", 0.9))
     estimates = []
-    for dt in (1e-3, 5e-4):
-        _, outcome = dw.run(dw.SimState(0.0, u0, u1), params,
-                            dw.StepConfig(dt=dt), 50.0)
+    for dt in AC5_DTS:
+        _, outcome, _ = ac5_runs[dt]
         assert outcome.kind == "blew_up"
         estimates.append(outcome.t_max_estimate)
     gap = abs(estimates[0] - estimates[1]) / estimates[1]
     assert verdict("AC-5 dt-convergence", gap <= 5e-3,
                    f"t_max~{estimates[0]:.6f} (dt=1e-3), {estimates[1]:.6f} "
                    f"(dt=5e-4), gap {gap:.2e}")
+
+
+def test_ac5_every_step_ends_on_the_banach_bound(ac5_runs):
+    """Every step the AC-5 runs keep is certified: the contraction bound,
+    not the test on the change alone, ended its Picard iteration."""
+    counts, ok = [], True
+    for dt in AC5_DTS:
+        _, _, stats = ac5_runs[dt]
+        uncertified = sum(not math.isfinite(step.contraction[0]) for step in stats)
+        ok = ok and len(stats) > 0 and uncertified == 0
+        counts.append(f"{uncertified}/{len(stats)} steps uncertified (dt={dt:g})")
+    assert verdict("AC-5 certified steps", ok, ", ".join(counts))
 
 
 def test_ac6_variational_constants(lbfgs_c_star):

@@ -99,3 +99,16 @@ def test_run_fails_only_on_an_unexpected_exit_code(answers, tmp_path, monkeypatc
     capsys.readouterr()
     assert answers.main(["run", str(tmp_path / "wrong")]) == 1
     assert "well-interval-p3: exit 0, expected 2" in capsys.readouterr().out
+
+
+def test_run_into_a_used_directory_runs_nothing(answers, tmp_path, monkeypatch,
+                                                capsys):
+    cases = {case: (case, argv, code) for case, argv, code in answers.CASES}
+    monkeypatch.setattr(answers, "CASES", [cases["run-bad-p"],
+                                           cases["well-interval-p3"]])
+    (tmp_path / "well-interval-p3").mkdir()
+    assert answers.main(["run", str(tmp_path)]) == 2
+    assert not (tmp_path / "run-bad-p").exists()
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == f"answers: {tmp_path / 'well-interval-p3'} already exists\n"

@@ -6,7 +6,8 @@
 `run` runs each case of CASES as `python -m dampedwave.cli ... --out .` in
 its own directory OUT/<case>, and keeps the command's standard output, error
 output and exit code there beside the files it writes.  It exits 1 when a
-case's exit code is not the one CASES expects, else 0.  `--src` is the
+case's exit code is not the one CASES expects, else 0, and exits 2,
+running no case, when a case's directory already exists.  `--src` is the
 package source to run, by default this checkout's `src/`; pointing it at
 another checkout gives that checkout's answers to compare against.
 
@@ -270,6 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
+        used = [args.out / case for case, _, _ in CASES if (args.out / case).exists()]
+        if used:
+            print(f"answers: {used[0]} already exists", file=sys.stderr)
+            return 2
         return 1 if run_cases(args.out, args.src) else 0
     cmp = compare(args.a, args.b)
     print(report(cmp))
