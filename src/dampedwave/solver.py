@@ -159,11 +159,11 @@ class Stepper:
         inf) is not certified within PICARD_TOL max(1, |vm|_inf); property
         probes found such rows 1.0-1.4e-12 relative from the fixed point.
 
-        Each iteration takes these maxima, per row, from one max-reduction
-        over the stacked |vm_k - vm_{k-1}| and |vm_k|; the first also stacks
-        |u| and |vm_0|.  A max is exact and each row is reduced on its own, so
-        every maximum, and so every rho and every stop, is the one the row
-        gives alone.
+        Every iteration takes these maxima, per row, from one max-reduction
+        over the stacked |u|, |vm_{k-1}|, |vm_k - vm_{k-1}| and |vm_k|, and
+        once a row has ended, keeps every ended row's vm fixed.  A max is
+        exact and each row is reduced on its own, so every maximum, and so
+        every rho and every stop, is the one the row gives alone.
 
         Each row starts once.  A row whose iterate turns non-finite, or that
         has not converged after PICARD_MAX solves, fails, whether it started
@@ -184,27 +184,21 @@ class Stepper:
         ended = [False] * n_rows  # converged or failed: the row stays fixed
         rho = [math.inf] * n_rows
         failures: list[str | None] = [None] * n_rows
-        fixed = None
         busy = n_rows
         vm = v if guess is None else guess
-        lead = (u, vm)  # |u|_inf and the start's |vm|_inf join the first reduction
         while busy:
             um = u + half_dt * vm
             rhs = base + dt * self._nonlinear(um)
             vm_new = self._solve(rhs)
-            if fixed is not None:
-                vm_new[fixed] = vm[fixed]
-            stacked = np.concatenate((*lead, vm_new - vm, vm_new))
+            if busy < n_rows:
+                vm_new[ended] = vm[ended]
+            stacked = np.concatenate((u, vm, vm_new - vm, vm_new))
             # max propagates NaN and inf, so this also checks for both
             maxima = np.maximum.reduce(np.abs(stacked, out=stacked),
                                        axis=-1).tolist()
-            if lead:
-                umax, vmax = maxima[:n_rows], maxima[n_rows:2 * n_rows]
-                del maxima[:2 * n_rows]
-                lead = ()
-            vm, prev = vm_new, vmax
-            delta, vmax = maxima[:n_rows], maxima[n_rows:]
-            busy_was = busy
+            umax, prev, delta, vmax = (maxima[i:i + n_rows]
+                                       for i in range(0, 4 * n_rows, n_rows))
+            vm = vm_new
             for r, (d, m) in enumerate(zip(delta, vmax)):
                 if ended[r]:
                     continue
@@ -228,8 +222,6 @@ class Stepper:
                     vm[r] = v[r]
                 ended[r] = True
                 busy -= 1
-            if busy and busy < busy_was:
-                fixed = np.array(ended, dtype=bool)
         u_new, v_new = u + dt * vm, 2.0 * vm - v
         failed = [r for r, failure in enumerate(failures) if failure]
         if failed:

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave import lyapunov, well
+from dampedwave import lyapunov, mesh, well
 from dampedwave.series import TimeSeries
 
 WC_UNIT = well.WellConstants(c_star=1.0, p=4.0, lambda1=1.0)
@@ -211,3 +212,177 @@ def test_fit_exponential_rate_exact():
     rate, r2 = lyapunov.fit_exponential_rate(t, 3.0 * np.exp(-0.7 * t))
     assert rate == pytest.approx(0.7, rel=1e-10)
     assert r2 == pytest.approx(1.0, abs=1e-12)
+
+
+DAMPED = ((0.0, 1.0), (0.1, 0.0), (0.1, 1.0), (1.0, 0.0), (1.0, 1.0))  # AC-2's
+LEVELS = (0.5, 0.9, 0.99)  # E0 / d
+
+
+def stiffness_eigenvalues(domain, per_axis=None):
+    """The eigenvalues of A, the closed form (2/h^2)(1 - cos(k pi h/extent))
+    per axis summed over the axes, for mode numbers k = 1 .. per_axis (all
+    of them by default) on every axis, in the row-major order of the modes."""
+    lam = np.zeros(())
+    for axis, (m, ha, ext) in enumerate(zip(domain.n, domain.h, domain.extents)):
+        k = np.arange(1, (per_axis or m) + 1)
+        shape = [1] * domain.dim
+        shape[axis] = -1
+        lam = lam + ((2.0 / ha**2) * (1.0 - np.cos(k * math.pi * ha / ext))).reshape(shape)
+    return lam.reshape(-1)
+
+
+def sublevel_worst(domain, wc, params, level, rng, n_mix=24, n_scale=16):
+    """The worst (L' + xi L)/E and the worst equivalence excess
+    max((beta1 E - L)/E, (L - beta2 E)/E) over states of {E <= E0, I >= 0},
+    E0 = level d, under the certificate `select_constants` gives at E0; and
+    whether every state passes with a rounding slack.
+
+    u runs over n_mix random mixes of the sine modes of number at most 4 (8
+    in 1D) per axis, each scaled by n_scale fractions of the largest scale
+    on the rising branch of J with J(u) <= E0.  On the semi-discrete system
+    u' = v, v' = -A u - omega A v - mu v + u|u|^(p-2), with the weighted forms
+    (a, b) = w a.b, |grad a|^2 = (a, A a) and |u|_p^p = w sum |u|^p, and with
+    L = E + eps (v, u) + eps omega |grad u|^2 / 2,
+
+        L' = -omega |grad v|^2 - (mu - eps)|v|^2 - eps |grad u|^2
+             - eps mu (v, u) + eps |u|_p^p.
+
+    For a given u, L' + xi L is a quadratic in v over the ball
+    |v|^2 <= 2 (E0 - J(u)).  A is diagonal in the orthonormal sine basis and
+    the linear term lies in u's modes, so its maximum (the trust-region
+    subproblem; Conn, Gould and Toint, Trust-Region Methods, 7.2) has the
+    coordinates b / (2 (h + sigma)) in those modes, with sigma >= 0 from the
+    scalar secular equation |v| = radius unless sigma = 0 gives a v inside
+    the ball.  h grows with lam, so its least entry is mode 1's, which every
+    mix holds: the hard case, which needs other modes, does not arise.
+    Each half of the equivalence depends on v only through |v|^2 and
+    (v, u), so its worst v lies along u.
+    """
+    p, omega, mu = params.p, params.omega, params.mu
+    e0 = level * wc.d
+    cert = dw.select_constants(e0, params, wc)
+    eps, xi, beta1, beta2 = cert.epsilon, cert.xi, cert.beta1, cert.beta2
+    w, per_axis = domain.weight, 8 if domain.dim == 1 else 4
+    modes = list(itertools.product(range(1, per_axis + 1), repeat=domain.dim))
+    lam = stiffness_eigenvalues(domain, per_axis)
+    psi = np.array([mesh.eigenmode(domain, k).values for k in modes])
+    psi /= np.sqrt(w * np.einsum("ij,ij->i", psi, psi))[:, None]
+    a_of = mesh.stiffness(domain)
+    assert np.allclose(a_of(psi), lam[:, None] * psi, rtol=0, atol=1e-9 * lam.max())
+
+    c = rng.standard_normal((n_mix, len(modes)))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    ubar = c @ psi
+    grad1 = w * np.einsum("ij,ij->i", ubar, a_of(ubar))
+    lp1 = w * np.sum(np.abs(ubar) ** p, axis=1)
+    # J(s ubar) rises on [0, s_nehari]; it passes d > E0 there
+    lo, hi = np.zeros(n_mix), (grad1 / lp1) ** (1.0 / (p - 2.0))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = 0.5 * mid**2 * grad1 - mid**p * lp1 / p <= e0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    scale = lo[:, None] * np.linspace(1.0 / n_scale, 1.0, n_scale)
+    u = (scale[..., None] * ubar[:, None, :]).reshape(-1, ubar.shape[1])
+    uh = (scale[..., None] * c[:, None, :]).reshape(-1, len(modes))  # (u, psi_k)
+    grad = w * np.einsum("ij,ij->i", u, a_of(u))
+    lp = w * np.sum(np.abs(u) ** p, axis=1)
+    j_u = 0.5 * grad - lp / p
+    assert np.all(grad - lp >= -1e-12 * grad) and np.all(j_u <= e0 * (1.0 + 1e-12))
+    radius = np.sqrt(np.maximum(2.0 * (e0 - j_u), 0.0))
+
+    # L' + xi L = -sum h a^2 + b.a + const in the sine coordinates a of v
+    h = omega * lam + mu - eps - 0.5 * xi
+    b = eps * (xi - mu) * uh
+    b_norm = np.linalg.norm(b, axis=1)
+
+    def v_of(sigma):
+        return b / (2.0 * (h + sigma[:, None]))
+
+    lo = np.full(len(u), max(0.0, -h.min()))
+    hi = lo + b_norm / (2.0 * np.maximum(radius, 1e-300))
+    inside = (h.min() > 0) & (np.linalg.norm(v_of(np.zeros(len(u))), axis=1) <= radius)
+    hi[inside] = lo[inside] = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        out = np.linalg.norm(v_of(mid), axis=1) > radius
+        lo, hi = np.where(out, mid, lo), np.where(out, hi, mid)
+    a = np.where((radius > 0)[:, None], v_of(hi), 0.0)
+    vv, gv, vu = (a * a).sum(1), (lam * a * a).sum(1), (a * uh).sum(1)
+    energy = 0.5 * vv + j_u
+    ell = energy + eps * vu + 0.5 * eps * omega * grad
+    dell = -omega * gv - (mu - eps) * vv - eps * grad - eps * mu * vu + eps * lp
+    size = (omega * gv + (mu + eps) * vv + eps * grad + eps * mu * abs(vu)
+            + eps * lp + xi * abs(ell))
+    decay = dell + xi * ell
+
+    # beta1 E <= L <= beta2 E: sign (L - beta E) at v = t u/|u| is a
+    # quadratic in t, least at an end of [-radius, radius] or at its vertex
+    u_norm = np.sqrt(w * np.einsum("ij,ij->i", u, u))
+    ok = bool(np.all(decay <= 1e-12 * size))
+    excess = -math.inf
+    for beta, sign in ((beta1, 1.0), (beta2, -1.0)):
+        curv = sign * (1.0 - beta)
+        ts = [radius, -radius]
+        if curv > 0:
+            ts.append(np.clip(-sign * eps * u_norm / curv, -radius, radius))
+        for t in ts:
+            e_t = 0.5 * t * t + j_u
+            gap = curv * e_t + sign * (eps * t * u_norm + 0.5 * eps * omega * grad)
+            excess = max(excess, float(np.max(-gap / e_t)))
+            ok &= bool(np.all(gap >= -1e-12 * (1.0 + beta) * e_t))
+    return float(np.max(decay / energy)), excess, ok
+
+
+@pytest.mark.parametrize("domain", (dw.interval(1.0, 63), dw.rectangle((1.5, 1.0), (23, 15))),
+                         ids=("interval", "rectangle"))
+def test_lyapunov_inequality_over_the_sublevel_set(domain):
+    """L' <= -xi L and beta1 E <= L <= beta2 E at every state searched of
+    {E <= E0, I >= 0}, with only a rounding slack: the certificate's claim
+    over the whole sublevel set, not along one trajectory (Haraux and
+    Zuazua, ARMA 100, 1988; the well of Payne and Sattinger, Israel J.
+    Math. 22, 1975), for p = 3, 4, 6, AC-2's damped (omega, mu) and
+    E0/d = 0.5, 0.9, 0.99."""
+    rng = np.random.default_rng(20881)
+    failures = []
+    for p in (3.0, 4.0, 6.0):
+        wc = dw.well_constants(domain, p)
+        for omega, mu in DAMPED:
+            params = dw.ModelParams(omega=omega, mu=mu, p=p)
+            for level in LEVELS:
+                decay, equiv, ok = sublevel_worst(domain, wc, params, level, rng)
+                if not ok:
+                    failures.append((p, omega, mu, level, decay, equiv))
+    assert not failures
+
+
+def spectral_rate(domain, params):
+    """min over the discrete modes of -2 Re s, s the slower root of
+    s^2 + (omega lam + mu) s + lam = 0: the slowest linear energy decay."""
+    lam = stiffness_eigenvalues(domain)
+    b = params.omega * lam + params.mu
+    disc = b * b - 4.0 * lam
+    # b - sqrt(disc) for real roots, without its cancellation; b for complex
+    rate = np.where(disc < 0, b, 4.0 * lam / (b + np.sqrt(np.maximum(disc, 0.0))))
+    return float(rate.min())
+
+
+@pytest.mark.parametrize("domain, points", [
+    (dw.interval(1.0, 63), [(p, omega, mu) for p in (3.0, 4.0, 6.0)
+                            for omega, mu in DAMPED]),
+    # the rectangle-decay workload's three points
+    (dw.rectangle((1.5, 1.0), (47, 31)), [(4.0, 1.0, 1.0), (3.0, 0.1, 1.0), (4.0, 0.0, 1.0)]),
+], ids=("interval", "rectangle"))
+def test_xi_stays_under_the_spectral_rate(domain, points):
+    """The certificate bounds E(t) <= (beta2/beta1) E0 e^(-xi t) from every
+    state of its level, data along the slowest mode included, which decay
+    at that mode's linear rate once small: so xi cannot exceed it."""
+    excess = []
+    for p, omega, mu in points:
+        wc = dw.well_constants(domain, p)
+        params = dw.ModelParams(omega=omega, mu=mu, p=p)
+        bound = spectral_rate(domain, params)
+        for level in LEVELS:
+            xi = dw.select_constants(level * wc.d, params, wc).xi
+            if not xi <= bound:
+                excess.append((p, omega, mu, level, xi, bound))
+    assert not excess
