@@ -15,18 +15,18 @@ fixed-point theorem the iterate is then within rho/(1-rho) times its last
 change of the step's fixed point.  A step ends when that bound meets
 PICARD_TOL, from the first solve on.
 
-`run_many` starts each step's iteration from the midpoint velocities of the
-last HISTORY steps extrapolated in time (`start_guess`; Hairer and Wanner,
-Solving ODEs II, IV.8).  On the smooth trajectories of the stable set that
-start is close enough for the first solve to pass the bound, so most steps
+`run_many` starts each step's iteration from the ring of the last HISTORY
+midpoint velocities extrapolated in time by one product (`start_guess`;
+Hairer and Wanner, Solving ODEs II, IV.8).  On the smooth trajectories of
+the stable set the first solve from there passes the bound, so most steps
 take one solve.
 
 `run_many` steps trajectories that share a domain, dt, horizon and p as one
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
-its one-row case.  A step is one `advance` call and one A @ u, under the one
-np.errstate of the step loop; the energy and the samples wait for a block
-of steps (`_fold`).  The solver imports no theory module: the certificate
-reaches it as `MonitorSet.epsilon` and the monitors' flags.
+its one-row case.  A step is one `advance` call and one A @ u; the energy
+and the samples wait for a block of steps (`_fold`).  The solver imports no
+theory module: the certificate reaches it as `MonitorSet.epsilon` and the
+monitors' flags.
 """
 
 from __future__ import annotations
@@ -151,27 +151,22 @@ class Stepper:
         rho < 1/2 and rho delta <= (1 - rho) PICARD_TOL max(1, m), where
         M = |u|_inf + dt/2 max(|vm_{k-1}|_inf, m + delta) bounds |u_mid| on
         the segments from vm_{k-1} to the ball around vm_k that holds the
-        fixed point.  The ball argument asks of vm_{k-1} only that the map
-        sends it to vm_k, not that it is itself an iterate, so it holds from
-        k = 1 on, with vm_0 the start.  Otherwise a row stops when
-        delta <= PICARD_TOL max(1, m).  That test bounds the distance to the
-        fixed point only by rho/(1 - rho) delta, so a row it ends (contraction
-        inf) is not certified within PICARD_TOL max(1, |vm|_inf); property
-        probes found such rows 1.0-1.4e-12 relative from the fixed point.
+        fixed point; the argument asks of vm_{k-1} only that the map sends
+        it to vm_k, so it holds from k = 1 on.  Otherwise a row stops when
+        delta <= PICARD_TOL max(1, m), which certifies no distance to the
+        fixed point (contraction inf).
 
         Every iteration takes these maxima, per row, from one max-reduction
         over the stacked |u|, |vm_{k-1}|, |vm_k - vm_{k-1}| and |vm_k|, and
-        once a row has ended, keeps every ended row's vm fixed.  A max is
-        exact and each row is reduced on its own, so every maximum, and so
-        every rho and every stop, is the one the row gives alone.
+        keeps every ended row's vm fixed.  A max is exact and each row is
+        reduced on its own, so every rho and every stop is the row's own.
 
         Each row starts once.  A row whose iterate turns non-finite, or that
-        has not converged after PICARD_MAX solves, fails, whether it started
-        from a guess or from v: its entry of `StepStats.failures` says why,
-        its midpoint velocity is v, and its u and v are returned as given.
-        The caller owns numpy's error state: a step near blow-up overflows,
-        which warns unless the caller holds np.errstate, as `run_many` does;
-        the state changes the warnings only, never what is returned.
+        has not converged after PICARD_MAX solves, fails: its entry of
+        `StepStats.failures` says why, its midpoint velocity is v, and its u
+        and v are returned as given.  The caller owns numpy's error state,
+        which changes the warnings of a step that overflows, never what it
+        returns.
         """
         if u.ndim != 2 or len(u) != len(self._lip):
             raise ValueError(f"advance takes (K, size) stacks of K = {len(self._lip)} "
@@ -242,22 +237,23 @@ class Stepper:
                     damping, mesh.row_dots(vm, self.a(vm)), mesh.row_dots(vm, vm))]
 
 
-def start_guess(history: Sequence[np.ndarray]) -> np.ndarray | None:
-    """The start of a step's Picard iteration from the midpoint velocities of
-    the steps before it, oldest first: their quartic extrapolation once
-    HISTORY are known, the linear one from two, else None (start from v).
+# 5 vm_-1 - 10 vm_-2 + 10 vm_-3 - 5 vm_-4 + vm_-5 by the ring slot of vm_-5
+_QUARTIC = [np.roll([1.0, -5.0, 10.0, -10.0, 5.0], j) for j in range(HISTORY)]
 
-    Each entry is a (K, size) stack; the combination is elementwise, so each
-    row rounds as it does alone.  An overflowing guess is non-finite, which
-    fails the row's step in `advance`; as for `advance`, the caller owns
-    np.errstate.
+
+def start_guess(ring: np.ndarray, k: int) -> np.ndarray | None:
+    """The start of step k's Picard iteration, whose (HISTORY, K, size)
+    `ring` holds step j's midpoint velocities in slot j % HISTORY: the
+    velocities extrapolated linearly, from k = HISTORY on by the quartic (a
+    product of weights with each row's history, so each row rounds as
+    alone), or None (start from v) when k < 2.  An overflowing guess fails
+    its row's step in `advance`; the caller owns np.errstate.
     """
-    if len(history) >= HISTORY:
-        h5, h4, h3, h2, h1 = history[-HISTORY:]
-        return h5 + 5.0 * (h1 - h4) + 10.0 * (h3 - h2)
-    if len(history) >= 2:
-        return 2.0 * history[-1] - history[-2]
-    return None
+    if k < 2:
+        return None
+    if k < HISTORY:
+        return 2.0 * ring[k - 1] - ring[k - 2]
+    return np.matmul(_QUARTIC[k % HISTORY], ring.transpose(1, 0, 2))
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -348,12 +344,10 @@ def _fold(rows: list[_Row], block: list, stepper: Stepper, stride: int,
     Each entry of `block` is one step: its index k, its StepStats and the
     (K, size) u, A u and v it ended on.  One `energy_terms` call and one
     `Stepper.dissipation` call cover every step of the block; v @ u and
-    v @ A v cover its sampled steps.  At each step a row advances its clock
-    and solve count, adds its drift, records a sampled step and takes its
-    verdict there, and at the horizon completes.  It ends at its first failed
-    step or ending, and its later steps in the block are dropped.  A step
-    whose terms are None, a NaN or Inf in the row's u or v, fails as
-    "step produced non-finite values".
+    v @ A v cover its sampled steps.  A row ends at its first failed step or
+    ending, and its later steps in the block are dropped.  A step whose
+    terms are None (a NaN or Inf in u or v) fails as "step produced
+    non-finite values".
     """
     n, dt, w, p = len(rows), stepper.cfg.dt, stepper.w, stepper.p
     steps, stats, us, aus, vs = zip(*block)
@@ -407,12 +401,11 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     (series, outcome), or the StepFailure that ended it.  A row ends when it
     fails a step, trips a monitor, blows up or reaches the horizon; the
     others keep the steps they computed.  A step that leaves a NaN or Inf in
-    a row's u or v fails for that row, as a non-finite midpoint solve does;
-    the initial states are GridFields, which hold none.  A horizon that is
-    not positive or of more than MAX_STEPS steps raises ValueError.
+    a row's u or v fails for that row.  A horizon that is not positive or of
+    more than MAX_STEPS steps raises ValueError.
 
     Each step calls `Stepper.advance` once, from `start_guess` of the
-    stack's last HISTORY midpoint velocities, and evaluates A @ u, which
+    ring of the stack's last midpoint velocities, and evaluates A @ u, which
     also serves the next step.  Everything else waits in a block of steps:
     the energy terms, which the drift, the samples, the monitors and the
     divergence norm share, the midpoint dissipation, and the sample's v @ u
@@ -444,18 +437,16 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
                                        mesh.row_dots(v, a(v))):
         row.record(row.t, row_terms, vu, vav, w)
     results: list = [None] * len(states)
-    history: list[np.ndarray] = []  # the last HISTORY midpoint velocities
+    ring = np.zeros((HISTORY, *u.shape))  # see `start_guess`
     block: list = []  # the steps not yet folded, see `_fold`
 
-    # the step loop's one error state, which `advance` and `start_guess`
-    # leave to their caller: overflow is expected in a guess or a step that
-    # goes non-finite, which fails the row's step, and in a row stepped past
-    # its ending, whose steps `_fold` drops
+    # the one error state, which `advance` and `start_guess` leave to their
+    # caller: a guess or step that overflows fails its row, and a row stepped
+    # past its ending has its steps dropped by `_fold`
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            (u, v), stats = stepper.advance(u, v, au, start_guess(history))
-            history.append(stats.vm)
-            del history[:-HISTORY]
+            (u, v), stats = stepper.advance(u, v, au, start_guess(ring, k - 1))
+            ring[(k - 1) % HISTORY] = stats.vm
             au = a(u)
             block.append((k, stats, u, au, v))
             if (4 * u.size * len(block) < BLOCK_VALUES and k < n_steps
@@ -469,7 +460,7 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
                 results[rows[r].index] = rows[r].end(kind, details)
             keep = [r for r in range(len(rows)) if r not in ended]
             rows, u, v, au = [rows[r] for r in keep], u[keep], v[keep], au[keep]
-            history = [vm[keep] for vm in history]
+            ring = ring[:, keep]
             if not rows:
                 break
             stepper = Stepper(domain, [params[row.index] for row in rows], cfg)

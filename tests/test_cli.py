@@ -356,12 +356,27 @@ def test_run_stable_writes_certificate(tmp_path):
     assert report["equivalence"]["passed"]
 
 
+def _one_ulp_under_d_fails_smallness() -> tuple[int, float]:
+    """The first (n, p) on the unit interval whose computed well depth d has
+    a float just under it that fails the smallness condition: E0 = d holds
+    it to a few ulps either way, so whether one does depends on the last
+    bits of C*."""
+    for n, p in itertools.product((63, 31, 127),
+                                  (4.0, 3.0, 3.5, 4.5, 5.0, 5.5, 6.0, 7.0, 8.0)):
+        wc = well.well_constants(mesh.interval(1.0, n), p)
+        e0 = float(np.nextafter(wc.d, 0.0))
+        if well.admissibility_quantity(e0, wc.c_star, p) >= 1.0:
+            return n, p
+    pytest.fail("no (n, p) has a float under d that fails the smallness condition")
+
+
 def test_certifiability_is_the_classification_smallness_test(tmp_path, capsys,
                                                              monkeypatch):
     """A point is certified when its classification says it can be.  One ulp
-    under the well depth, E0 < d holds but the smallness condition does not
-    (K = 1.0 on the default interval at p = 4), so the run is uncertified
-    and exits 0 instead of failing in `select_constants`."""
+    under the well depth, E0 < d holds but the smallness condition can fail
+    (K = 1.0), and then the run is uncertified and exits 0 instead of
+    failing in `select_constants`."""
+    n, p = _one_ulp_under_d_fails_smallness()
     classify = well.classify
 
     def below_d(state, params, wc):
@@ -371,7 +386,8 @@ def test_certifiability_is_the_classification_smallness_test(tmp_path, capsys,
                                    smallness_holds=small)
     monkeypatch.setattr(well, "classify", below_d)
     code = cli.main(["run", "--out", str(tmp_path), "--set", "run.horizon=0.2",
-                     "--set", "step.dt=0.01"])
+                     "--set", "step.dt=0.01", "--set", f"domain.n={n}",
+                     "--set", f"model.p={p}"])
     assert code == 0, capsys.readouterr().err
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["E0"] < report["well"]["d"]

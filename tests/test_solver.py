@@ -408,13 +408,13 @@ def test_series_rows_match_public_functions(dom, n_steps, csr_stiffness):
         assert outcome.kind == "completed"
 
         stepper = dw.Stepper(dom, [params], cfg)
-        states, history = [initial], []
-        for _ in range(n_steps):
+        states, ring = [initial], np.zeros((solver.HISTORY, 1, dom.size))
+        for k in range(n_steps):
             prev = states[-1]
             u = prev.u.values[None]
             (u, v), stats = stepper.advance(u, prev.v.values[None], stepper.a(u),
-                                            solver.start_guess(history))
-            history.append(stats.vm)
+                                            solver.start_guess(ring, k))
+            ring[k % solver.HISTORY] = stats.vm
             vm = 0.5 * (prev.v.values + v[0])
             want = -omega * w * (vm @ (a @ vm)) - mu * w * (vm @ vm)
             (diss,) = stepper.dissipation(stats.vm)
@@ -819,7 +819,8 @@ def _per_step_reference(state, params, cfg, horizon, monitors):
     n_steps = solver.step_count(horizon, dt)
     stride = 1 if dom.size <= solver.SAMPLE_EVERY_STEP_MAX_NODES else 10
     t, u, v = state.t, state.u.values[None], state.v.values[None]
-    series, drift, solves, history = TimeSeries(), 0.0, 0, []
+    series, drift, solves = TimeSeries(), 0.0, 0
+    ring = np.zeros((solver.HISTORY, 1, dom.size))
 
     def sample(terms):
         E, I, J, kinetic, grad_sq, lp_p, l2_v = terms
@@ -841,8 +842,8 @@ def _per_step_reference(state, params, cfg, horizon, monitors):
     energy_tol = solver.ENERGY_TOL_COEFF * dt**3 * max(1.0, abs(e_prev))
     sample(terms)
     for k in range(1, n_steps + 1):
-        (u1, v1), stats = stepper.advance(u, v, au, solver.start_guess(history))
-        history.append(stats.vm)
+        (u1, v1), stats = stepper.advance(u, v, au, solver.start_guess(ring, k - 1))
+        ring[(k - 1) % solver.HISTORY] = stats.vm
         (failure,) = stats.failures
         if failure is None and not (np.isfinite(u1).all() and np.isfinite(v1).all()):
             failure = "step produced non-finite values"
@@ -1074,3 +1075,58 @@ def test_run_many_needs_params_for_every_state(dom63):
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     with pytest.raises(ValueError, match="one ModelParams"):
         dw.run_many([rest, rest], [params], dw.StepConfig(dt=1e-2), 0.1)
+
+
+# AC-2's damped (omega, mu)
+DAMPINGS = [(0.0, 1.0), (0.1, 1.0), (1.0, 1.0), (0.1, 0.0), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("degree, first", [(4, solver.HISTORY), (1, 2)])
+def test_the_ring_guess_reproduces_a_polynomial_history(degree, first, rng):
+    """The start guess continues a midpoint-velocity history that is a
+    polynomial in time to rounding: a quartic one from HISTORY steps on, a
+    linear one from two steps on, whichever slot of the ring holds the
+    oldest velocity."""
+    coef = rng.standard_normal((degree + 1, 2, 63))
+
+    def vm(j):  # the (2, 63) stack of step j, at time j / 8
+        return sum(c * (j / 8.0) ** i for i, c in enumerate(coef))
+    ring = np.zeros((solver.HISTORY, 2, 63))
+    assert solver.start_guess(ring, 0) is None and solver.start_guess(ring, 1) is None
+    for k in range(3 * solver.HISTORY):
+        if k >= first:
+            want = vm(k)
+            tol = 32 * np.finfo(float).eps * np.abs(ring).max()
+            np.testing.assert_allclose(solver.start_guess(ring, k), want, rtol=0,
+                                       atol=tol)
+        ring[k % solver.HISTORY] = vm(k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_stack_rows_equal_their_solo_runs(dom63, k):
+    """Each row of a K-row stack equals its solo run bit for bit, series and
+    outcome.  The three rows share one damping, so one dense inverse; the
+    seven cycle through AC-2's five dampings, two of them twice."""
+    cfg, horizon = dw.StepConfig(dt=5e-3), 1.0
+    phi = mesh.eigenmode(dom63).values
+    dampings = DAMPINGS[1:2] * 3 if k == 3 else (DAMPINGS * 2)[:k]
+    params = [dw.ModelParams(omega=om, mu=mu, p=4.0) for om, mu in dampings]
+    states = [dw.SimState.rest(dw.GridField(dom63, (0.5 + 0.25 * r) * phi))
+              for r in range(k)]
+    batch = dw.run_many(states, params, cfg, horizon)
+    for state, prm, got in zip(states, params, batch):
+        _assert_rows_equal(got, _solo(state, prm, cfg, horizon, None))
+
+
+def test_rows_leaving_a_stack_keep_their_dense_inverses(dom63):
+    """When a row ends, the rows that step on reuse their dense inverses:
+    over the whole run each shift's inverse is built once."""
+    cfg, phi = dw.StepConfig(dt=5e-4), mesh.eigenmode(dom63).values
+    params = [dw.ModelParams(omega=om, mu=mu, p=4.0) for om, mu in DAMPINGS[:3]]
+    states = [dw.SimState.rest(dw.GridField(dom63, a * phi)) for a in (320.0, 0.5, 0.5)]
+    mesh._dense_inverse.cache_clear()
+    blown, *calm = dw.run_many(states, params, cfg, 100 * cfg.dt)
+    assert blown[1].kind == "blew_up" and blown[1].T < 100 * cfg.dt
+    assert [outcome.kind for _, outcome in calm] == ["completed"] * 2
+    info = mesh._dense_inverse.cache_info()
+    assert (info.misses, info.hits) == (3, 2)

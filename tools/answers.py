@@ -2,6 +2,8 @@
 
     python tools/answers.py run OUT [--src DIR]
     python tools/answers.py diff A B
+    python tools/answers.py record OUT REF
+    python tools/answers.py check REF OUT
 
 `run` runs each case of CASES as `python -m dampedwave.cli ... --out .` in
 its own directory OUT/<case>, and keeps the command's standard output, error
@@ -26,6 +28,18 @@ another checkout gives that checkout's answers to compare against.
 
 It exits 1 when a file set or a kind differs, else 0, so numbers that moved
 alone do not fail it.
+
+`record` writes a compact summary of a `run` directory to the JSON file REF:
+every exit code, standard output and error, every `well.json`,
+`report.json` and `sweep.csv` value, each `series.csv`'s header, row count
+and the first, last and largest-magnitude value of each column, and each
+`u0.txt`'s header, node count and norms.  `check` summarizes OUT the same
+way and exits 1 when it differs from REF in kind (a file, key, text or
+integer, such as an exit code, a row count or a solve count) or when a
+float is past its column's tolerance (see `tolerance`), printing each such
+difference, else 0.  REFERENCE is the committed summary that CI checks;
+re-record it with `run` and `record` when a change moves an answer past its
+tolerance on purpose.
 """
 
 from __future__ import annotations
@@ -43,6 +57,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 EXIT_FILE = "exit_code"
+REFERENCE = ROOT / "tools" / "answers-reference.json"
+
+# `check`'s tolerances.  Other BLAS kernels moved C*, d and beta by up to
+# 2.4e-13 relative, the certificate by 2.4e-14 and series.csv by 4.8e-11 of a
+# column's largest |x|, so these sit far above the kernel spread and far below
+# any real change.  Integers are compared exactly.
+ANSWER_RTOL = 1e-10  # every float without a rule of its own, relative
+SERIES_RTOL = 1e-8  # of the reference column's largest |x|
+# energy_drift: steps that round differently have moved it by up to 1.9e-5
+# relative, and a drift near 1e-13 is rounding alone (it moved by 0.12 under
+# other kernels), so past DRIFT_RTOL it may also move by DRIFT_FLOOR * |E0|
+DRIFT_RTOL, DRIFT_FLOOR = 1e-4, 1e-12
+# C*'s iteration ends on the gradient test, residual < well.GRAD_TOL, or on
+# the fixed-point test, whose residual is the rounding floor and whose count
+# moves with the rounding: a solve that rounded differently took it 21 -> 22
+GRAD_TOL = 1e-10
+C_STAR_ITER_MOVE = 2
 
 # (case, argv of the dampedwave CLI, expected exit code); each runs in
 # OUT/<case>, in this order
@@ -259,6 +290,106 @@ def report(cmp: Comparison) -> str:
     return "\n".join(lines)
 
 
+def summarize(out: Path) -> dict[str, dict]:
+    """The compact summary of a `run` directory: per file, its cells by key."""
+    return {str(path.relative_to(out)): _summary(path)
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def _summary(path: Path) -> dict:
+    if path.name == EXIT_FILE:
+        return {"code": int(path.read_text())}
+    if path.suffix == ".json":
+        return _flatten(json.loads(path.read_text()))
+    rows = _rows(path)
+    if path.suffix == ".csv":
+        head, body = rows[0], rows[1:]
+        cells = {"header": ",".join(head), "rows": len(body)}
+        if path.name != "series.csv":
+            cells.update({f"{i}.{col}": x for i, row in enumerate(body)
+                          for col, x in zip(head, row)})
+            return cells
+        for col, column in zip(head, zip(*body)):
+            xs = [float(x) for x in column]
+            cells.update({f"{col}.first": xs[0], f"{col}.last": xs[-1],
+                          f"{col}.peak": max(xs, key=abs)})
+        return cells
+    if rows and rows[0][0].startswith("# dampedwave-field"):
+        xs = [float(x) for (x,) in rows[1:]]
+        return {"header": rows[0][0], "nodes": len(xs),
+                "max": max(map(abs, xs), default=0.0),
+                "l2": math.sqrt(math.fsum(x * x for x in xs))}
+    return {str(i): line for i, (line,) in enumerate(rows)}
+
+
+def tolerance(name: str, key: str, ref: dict) -> tuple[float, float]:
+    """(rtol, atol) of the numbers at `key` of a file `name` whose reference
+    cells are `ref`: y passes against the reference x when
+    |x - y| <= rtol |x| + atol."""
+    if name == "series.csv" and "." in key:
+        return 0.0, SERIES_RTOL * abs(ref[key.rsplit(".", 1)[0] + ".peak"])
+    if key.endswith("energy_drift"):
+        return DRIFT_RTOL, DRIFT_FLOOR * abs(ref["E0"])
+    return ANSWER_RTOL, 0.0
+
+
+def _cell(x, y, rtol: float, atol: float) -> str | None:
+    """Why the cell y fails against the reference cell x, or None."""
+    if isinstance(x, str) and isinstance(y, str):
+        (x_text, xs), (y_text, ys) = _split(x), _split(y)
+        if x_text != y_text:
+            return f"{y!r} != {x!r}"
+    elif float in (type(x), type(y)) and {type(x), type(y)} <= {int, float}:
+        xs, ys = [float(x)], [float(y)]
+    else:  # counts, flags, None: exact
+        return None if x == y and type(x) is type(y) else f"{y!r} != {x!r}"
+    for a, b in zip(xs, ys):
+        if not (a == b or math.isnan(a) and math.isnan(b)
+                or abs(a - b) <= rtol * abs(a) + atol):
+            return (f"{y!r} is {abs(a - b):.3g} from {x!r}, "
+                    f"past {rtol * abs(a) + atol:.3g}")
+    return None
+
+
+def _c_star_stop(ref: dict, out: dict, prefix: str) -> str | None:
+    """Why C*'s `iterations` and `residual` under `prefix` fail, or None.
+
+    Where the gradient test ended C* in the reference, it must end there
+    again after as many iterations; where the fixed-point test did, the
+    count may move by C_STAR_ITER_MOVE, and any finite residual means that
+    one of the two tests ended the iteration."""
+    it, res = prefix + "iterations", prefix + "residual"
+    if ref[res] < GRAD_TOL:
+        ok = out[res] < GRAD_TOL and out[it] == ref[it]
+    else:
+        ok = math.isfinite(out[res]) and abs(out[it] - ref[it]) <= C_STAR_ITER_MOVE
+    return None if ok else (f"{it}, {res}: {out[it]}, {out[res]!r} against "
+                            f"{ref[it]}, {ref[res]!r}")
+
+
+def check(ref: dict[str, dict], out: dict[str, dict]) -> list[str]:
+    """Every difference of the summary `out` from `ref` in kind or past its
+    tolerance."""
+    problems = [f"{rel}: only in the reference"
+                for rel in sorted(ref.keys() - out.keys())]
+    problems += [f"{rel}: not in the reference"
+                 for rel in sorted(out.keys() - ref.keys())]
+    for rel in sorted(ref.keys() & out.keys()):
+        a, b = ref[rel], out[rel]
+        problems += [f"{rel}: key {key} on one side only"
+                     for key in sorted(a.keys() ^ b.keys())]
+        stops = [prefix for prefix in ("", "well.")
+                 if {prefix + "iterations", prefix + "residual"} <= a.keys() & b.keys()]
+        skip = {prefix + key for prefix in stops for key in ("iterations", "residual")}
+        for key in sorted(a.keys() & b.keys() - skip):
+            problem = _cell(a[key], b[key], *tolerance(Path(rel).name, key, a))
+            if problem:
+                problems.append(f"{rel}: {key}: {problem}")
+        problems += [f"{rel}: {problem}" for problem in
+                     (_c_star_stop(a, b, prefix) for prefix in stops) if problem]
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,6 +400,12 @@ def main(argv: list[str] | None = None) -> int:
     diff = sub.add_parser("diff", help="compare two directories that `run` wrote")
     diff.add_argument("a", type=Path)
     diff.add_argument("b", type=Path)
+    record = sub.add_parser("record", help="write the summary of a `run` directory")
+    record.add_argument("out", type=Path)
+    record.add_argument("ref", type=Path)
+    chk = sub.add_parser("check", help="check a `run` directory against a summary")
+    chk.add_argument("ref", type=Path)
+    chk.add_argument("out", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
         used = [args.out / case for case, _, _ in CASES if (args.out / case).exists()]
@@ -276,6 +413,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"answers: {used[0]} already exists", file=sys.stderr)
             return 2
         return 1 if run_cases(args.out, args.src) else 0
+    if args.command == "record":
+        args.ref.write_text(json.dumps(summarize(args.out), indent=1, sort_keys=True)
+                            + "\n")
+        return 0
+    if args.command == "check":
+        ref = json.loads(args.ref.read_text())
+        problems = check(ref, summarize(args.out))
+        print("\n".join(problems + [f"check: {len(ref)} files in the reference, "
+                                     f"{len(problems)} differences"]))
+        return 1 if problems else 0
     cmp = compare(args.a, args.b)
     print(report(cmp))
     return 0 if cmp.same_kind else 1
