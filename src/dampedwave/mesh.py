@@ -18,9 +18,9 @@ _KIND_DIMS = {"interval": 1, "rectangle": 2}
 
 FIELD_HEADER_PREFIX = "# dampedwave-field v1 "
 MAX_AXIS_NODES = 4095  # per axis; the axis's dense DST-I matrix takes 128 MiB
-# dense 1D inverses: up to 127 nodes (128 KiB), and up to 2 MiB and 64 of them
-# a stack, which `_dense_inverse` keeps for the next solver
-DENSE_MAX_NODES, DENSE_MAX_VALUES, DENSE_MAX_HELD = 127, 2**18, 64
+# 1D solves by dense inverses up to this many nodes (32 KiB an inverse): a
+# stack of 64 distinct shifts still solves as fast as by the sine transforms
+DENSE_MAX_NODES = 63
 
 
 class DomainMismatchError(ValueError):
@@ -124,6 +124,12 @@ class GridField:
         return not np.any(self.values)
 
 
+def _check_domain(u: GridField, domain: Domain) -> None:
+    if u.domain != domain:
+        raise DomainMismatchError(
+            f"field on {u.domain.fingerprint()} vs operator on {domain.fingerprint()}")
+
+
 @functools.lru_cache(maxsize=None)
 def stiffness(domain: Domain):
     """x -> A x for the positive-definite stiffness operator A.
@@ -189,9 +195,7 @@ def lp_norm_p(u: GridField, p: float) -> float:
 
 def inner(u: GridField, v: GridField) -> float:
     """Weighted L2 inner product of two fields."""
-    if v.domain != u.domain:
-        raise DomainMismatchError(
-            f"{v.domain.fingerprint()} vs {u.domain.fingerprint()}")
+    _check_domain(v, u.domain)
     return u.domain.weight * float(u.values @ v.values)
 
 
@@ -229,7 +233,7 @@ def _sine_basis(m: int, ha: float) -> tuple[np.ndarray, np.ndarray]:
     return s, lam
 
 
-@functools.lru_cache(maxsize=DENSE_MAX_HELD)
+@functools.lru_cache(maxsize=64)
 def _dense_inverse(m: int, ha: float, c0: float, c1: float) -> np.ndarray:
     """Dense (c0 I + c1 A)^(-1) = (s inv) @ s of one axis, read-only."""
     s, lam = _sine_basis(m, ha)
@@ -241,21 +245,21 @@ def _dense_inverse(m: int, ha: float, c0: float, c1: float) -> np.ndarray:
 def shifted_solver(domain: Domain, c0, c1):
     """Exact solver b -> (c0 I + c1 A)^(-1) b in the sine eigenbasis of A.
 
-    Given K shifts c0, c1, it solves row k of a (K, size) stack with
-    (c0[k], c1[k]).  The DST-I of each axis diagonalizes A, so a solve is
-    two transforms around a diagonal scaling, or within the DENSE_MAX_*
-    limits one product with its shift's dense inverse, which later solvers
-    reuse.  Each row gets products of its own, never one over the stack,
-    so it rounds as it does alone.
+    A is the Kronecker sum of per-axis tridiagonal matrices, all diagonalized
+    by DST-I, so the solve is two transforms around a diagonal scaling, in 1D
+    and 2D alike.  On intervals of up to DENSE_MAX_NODES nodes it is instead
+    one product with the shift's dense inverse, which later solvers reuse;
+    the domain alone chooses the method, never the stack.  Given sequences of
+    K shifts c0, c1, the solver takes a (K, size) stack whose row k it solves
+    with (c0[k], c1[k]); each row gets matrix products of its own, never one
+    product over the stack, so it rounds exactly as a solve of that row alone.
     """
-    shifts = list(zip(c0, c1))
-    held = 1 if len(set(shifts)) == 1 else len(shifts)  # inverses the solver holds
-    if (domain.dim == 1 and domain.size <= DENSE_MAX_NODES and held <= DENSE_MAX_HELD
-            and held * domain.size**2 <= DENSE_MAX_VALUES):
-        mats = [_dense_inverse(*domain.n, *domain.h, *shift) for shift in shifts[:held]]
+    if domain.dim == 1 and domain.size <= DENSE_MAX_NODES:
+        shifts = list(zip(c0, c1))
+        mats = [_dense_inverse(*domain.n, *domain.h, *shift) for shift in shifts]
         if len(shifts) == 1:  # one field: the faster call
             return lambda b: np.dot(mats[0], b[0])[None]
-        d = mats[0] if held == 1 else np.stack(mats)
+        d = mats[0] if len(set(shifts)) == 1 else np.stack(mats)
         return lambda b: np.matmul(d, b[..., None])[..., 0]
     c0, c1 = np.asarray(c0), np.asarray(c1)
     one_row = len(c0) == 1

@@ -15,18 +15,18 @@ fixed-point theorem the iterate is then within rho/(1-rho) times its last
 change of the step's fixed point.  A step ends when that bound meets
 PICARD_TOL, from the first solve on.
 
-`run_many` starts each step's iteration from the ring of the last HISTORY
-midpoint velocities extrapolated in time by one product (`start_guess`;
-Hairer and Wanner, Solving ODEs II, IV.8).  On the smooth trajectories of
-the stable set the first solve from there passes the bound, so most steps
-take one solve.
+`run_many` starts each step's iteration from the midpoint velocities of the
+last HISTORY steps extrapolated in time, kept in a ring and combined by one
+product (`start_guess`; Hairer and Wanner, Solving ODEs II, IV.8).  On the
+smooth trajectories of the stable set that start is close enough for the
+first solve to pass the bound, so most steps take one solve.
 
 `run_many` steps trajectories that share a domain, dt, horizon and p as one
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
-its one-row case.  A step is one `advance` call and one A @ u; the energy
-and the samples wait for a block of steps (`_fold`).  The solver imports no
-theory module: the certificate reaches it as `MonitorSet.epsilon` and the
-monitors' flags.
+its one-row case.  A step is one `advance` call and one A @ u, under the one
+np.errstate of the step loop; the energy and the samples wait for a block
+of steps (`_fold`).  The solver imports no theory module: the certificate
+reaches it as `MonitorSet.epsilon` and the monitors' flags.
 """
 
 from __future__ import annotations
@@ -151,22 +151,27 @@ class Stepper:
         rho < 1/2 and rho delta <= (1 - rho) PICARD_TOL max(1, m), where
         M = |u|_inf + dt/2 max(|vm_{k-1}|_inf, m + delta) bounds |u_mid| on
         the segments from vm_{k-1} to the ball around vm_k that holds the
-        fixed point; the argument asks of vm_{k-1} only that the map sends
-        it to vm_k, so it holds from k = 1 on.  Otherwise a row stops when
-        delta <= PICARD_TOL max(1, m), which certifies no distance to the
-        fixed point (contraction inf).
+        fixed point.  The ball argument asks of vm_{k-1} only that the map
+        sends it to vm_k, not that it is itself an iterate, so it holds from
+        k = 1 on, with vm_0 the start.  Otherwise a row stops when
+        delta <= PICARD_TOL max(1, m).  That test bounds the distance to the
+        fixed point only by rho/(1 - rho) delta, so a row it ends (contraction
+        inf) is not certified within PICARD_TOL max(1, |vm|_inf); property
+        probes found such rows 1.0-1.4e-12 relative from the fixed point.
 
         Every iteration takes these maxima, per row, from one max-reduction
         over the stacked |u|, |vm_{k-1}|, |vm_k - vm_{k-1}| and |vm_k|, and
-        keeps every ended row's vm fixed.  A max is exact and each row is
-        reduced on its own, so every rho and every stop is the row's own.
+        once a row has ended, keeps every ended row's vm fixed.  A max is
+        exact and each row is reduced on its own, so every maximum, and so
+        every rho and every stop, is the one the row gives alone.
 
         Each row starts once.  A row whose iterate turns non-finite, or that
-        has not converged after PICARD_MAX solves, fails: its entry of
-        `StepStats.failures` says why, its midpoint velocity is v, and its u
-        and v are returned as given.  The caller owns numpy's error state,
-        which changes the warnings of a step that overflows, never what it
-        returns.
+        has not converged after PICARD_MAX solves, fails, whether it started
+        from a guess or from v: its entry of `StepStats.failures` says why,
+        its midpoint velocity is v, and its u and v are returned as given.
+        The caller owns numpy's error state: a step near blow-up overflows,
+        which warns unless the caller holds np.errstate, as `run_many` does;
+        the state changes the warnings only, never what is returned.
         """
         if u.ndim != 2 or len(u) != len(self._lip):
             raise ValueError(f"advance takes (K, size) stacks of K = {len(self._lip)} "
@@ -344,10 +349,12 @@ def _fold(rows: list[_Row], block: list, stepper: Stepper, stride: int,
     Each entry of `block` is one step: its index k, its StepStats and the
     (K, size) u, A u and v it ended on.  One `energy_terms` call and one
     `Stepper.dissipation` call cover every step of the block; v @ u and
-    v @ A v cover its sampled steps.  A row ends at its first failed step or
-    ending, and its later steps in the block are dropped.  A step whose
-    terms are None (a NaN or Inf in u or v) fails as "step produced
-    non-finite values".
+    v @ A v cover its sampled steps.  At each step a row advances its clock
+    and solve count, adds its drift, records a sampled step and takes its
+    verdict there, and at the horizon completes.  It ends at its first failed
+    step or ending, and its later steps in the block are dropped.  A step
+    whose terms are None, a NaN or Inf in the row's u or v, fails as
+    "step produced non-finite values".
     """
     n, dt, w, p = len(rows), stepper.cfg.dt, stepper.w, stepper.p
     steps, stats, us, aus, vs = zip(*block)
@@ -401,8 +408,9 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     (series, outcome), or the StepFailure that ended it.  A row ends when it
     fails a step, trips a monitor, blows up or reaches the horizon; the
     others keep the steps they computed.  A step that leaves a NaN or Inf in
-    a row's u or v fails for that row.  A horizon that is not positive or of
-    more than MAX_STEPS steps raises ValueError.
+    a row's u or v fails for that row, as a non-finite midpoint solve does;
+    the initial states are GridFields, which hold none.  A horizon that is
+    not positive or of more than MAX_STEPS steps raises ValueError.
 
     Each step calls `Stepper.advance` once, from `start_guess` of the
     ring of the stack's last midpoint velocities, and evaluates A @ u, which
@@ -440,9 +448,10 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     ring = np.zeros((HISTORY, *u.shape))  # see `start_guess`
     block: list = []  # the steps not yet folded, see `_fold`
 
-    # the one error state, which `advance` and `start_guess` leave to their
-    # caller: a guess or step that overflows fails its row, and a row stepped
-    # past its ending has its steps dropped by `_fold`
+    # the step loop's one error state, which `advance` and `start_guess`
+    # leave to their caller: overflow is expected in a guess or a step that
+    # goes non-finite, which fails the row's step, and in a row stepped past
+    # its ending, whose steps `_fold` drops
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             (u, v), stats = stepper.advance(u, v, au, start_guess(ring, k - 1))

@@ -656,6 +656,23 @@ def test_sweep_files_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     assert trees[0] == trees[1]
 
 
+def test_a_large_sweep_stack_writes_what_its_split_writes(tmp_path, monkeypatch):
+    """On DENSE_MAX_NODES nodes, 65 distinct dampings step as one stack of
+    65 on one CPU and as stacks of 33 and 32 on two; the files are the same
+    bytes, since the domain alone chooses how a row's midpoint is solved."""
+    omegas = ",".join(f"{0.01 * j:g}" for j in range(1, 66))
+    argv = ["--set", f"domain.n={mesh.DENSE_MAX_NODES}", "--set", "step.dt=0.005",
+            "--set", "run.horizon=0.02", "--vary", f"model.omega={omegas}"]
+    trees = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus_{cpus}"
+        assert cli.main(["sweep", "--out", str(out), *argv]) == 0
+        trees.append(_tree(out))
+    assert len(trees[0]) == 1 + 65 * 3
+    assert trees[0] == trees[1]
+
+
 @pytest.mark.parametrize("cpus", [2, 8])
 def test_sweep_steps_its_stacks_in_worker_processes(tmp_path, monkeypatch, forked,
                                                     cpus):

@@ -212,7 +212,7 @@ def test_shifted_solver_matches_sparse_direct_solve(dom, rng, csr_stiffness):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("n", [3, 31, 63, mesh.DENSE_MAX_NODES])
+@pytest.mark.parametrize("n", [3, 31, mesh.DENSE_MAX_NODES])
 def test_dense_inverse_solves_to_a_few_ulps(n, rng, csr_stiffness):
     """On intervals of up to DENSE_MAX_NODES nodes a row is solved by one
     product with its dense inverse.  For the midpoint shifts of dt = 5e-3
@@ -231,16 +231,18 @@ def test_dense_inverse_solves_to_a_few_ulps(n, rng, csr_stiffness):
 
 
 @pytest.mark.parametrize("shared", [False, True])
-@pytest.mark.parametrize("k", [1, 3, 7])
-@pytest.mark.parametrize("dom", [dw.interval(1.0, 63),
+@pytest.mark.parametrize("k", [1, 3, 7, 65])
+@pytest.mark.parametrize("dom", [dw.interval(1.0, mesh.DENSE_MAX_NODES),
                                  dw.interval(1.0, mesh.DENSE_MAX_NODES + 1),
                                  dw.rectangle((1.5, 1.0), (7, 5))])
 def test_stacked_solve_rows_equal_solo_solves(dom, k, shared, rng):
     """Each row of a stacked solve is bitwise its solo solve, by the dense
     inverse, the sine transforms of a larger interval and the 2D
-    transforms, whether the rows share one shift or cycle through three."""
+    transforms, whether the rows share one shift or each have their own.
+    The domain alone chooses the method: a stack of 65 distinct shifts,
+    more than `_dense_inverse` keeps, still solves by the dense inverses."""
     c0 = [2.0 + (0 if shared else 0.005 * (r % 3)) for r in range(k)]
-    c1 = [0.005 * (1 if shared else 1 + r % 3) for r in range(k)]
+    c1 = [0.005 * (1 if shared else 1 + r) for r in range(k)]
     b = rng.standard_normal((k, dom.size))
     stacked = mesh.shifted_solver(dom, c0, c1)(b)
     for r in range(k):
@@ -248,32 +250,24 @@ def test_stacked_solve_rows_equal_solo_solves(dom, k, shared, rng):
         assert solo.tobytes() == stacked[r:r + 1].tobytes()
 
 
-def test_dense_inverses_are_built_per_shift_where_they_pay():
+def test_dense_inverses_are_built_per_shift_on_small_intervals_only():
     """A dense inverse is built once per shift and shared by the rows that
-    have it, and never in 2D, on an interval above DENSE_MAX_NODES nodes or
-    for a stack that would hold more than DENSE_MAX_HELD inverses or
-    DENSE_MAX_VALUES values, where they cost more than they save: C* on 2047
-    nodes would spend several times its 20-odd solves on the build, and at
-    127 nodes a stack of 16 inverses solves faster than the transforms,
-    while one of 24 to 64 holds 3-8 MiB of them and solves no faster."""
-    assert 63 <= mesh.DENSE_MAX_NODES < 255
-    assert 16 <= mesh.DENSE_MAX_VALUES // mesh.DENSE_MAX_NODES**2 < 24
+    have it, whatever the stack, and never in 2D or on an interval above
+    DENSE_MAX_NODES nodes.  Past 4 MiB of inverses a stack solves slower
+    than by the transforms (at 63 nodes from about 64 distinct shifts, at
+    127 from about 16), and C* on 2047 nodes would spend several times its
+    20-odd solves on the build."""
+    assert 31 <= mesh.DENSE_MAX_NODES < 127
     n = mesh.DENSE_MAX_NODES
-    over = mesh.DENSE_MAX_VALUES // n**2 + 1
-
-    def alternating(k):  # k rows of two shifts
-        return [2.0] * k, [0.01 * (1 + r % 2) for r in range(k)]
     mesh._dense_inverse.cache_clear()
     mesh.shifted_solver(dw.interval(1.0, n + 1), [2.0], [0.01])
     mesh.shifted_solver(dw.interval(1.0, 2047), [0.0], [1.0])
     mesh.shifted_solver(dw.rectangle((1.5, 1.0), (7, 5)), [2.0], [0.01])
-    mesh.shifted_solver(dw.interval(1.0, n), *alternating(over))
-    mesh.shifted_solver(dw.interval(1.0, 3), *alternating(mesh.DENSE_MAX_HELD + 1))
     assert mesh._dense_inverse.cache_info().misses == 0
-    mesh.shifted_solver(dw.interval(1.0, n), [2.0] * 2 * over, [0.01] * 2 * over)
-    assert mesh._dense_inverse.cache_info()[:2] == (0, 1)  # (hits, misses)
-    mesh.shifted_solver(dw.interval(1.0, n), *alternating(over - 1))
-    assert mesh._dense_inverse.cache_info()[:2] == (over - 2, 2)
+    mesh.shifted_solver(dw.interval(1.0, n), [2.0] * 100, [0.01] * 100)
+    assert mesh._dense_inverse.cache_info()[:2] == (99, 1)  # (hits, misses)
+    mesh.shifted_solver(dw.interval(1.0, n), [2.0] * 100, [0.01, 0.02] * 50)
+    assert mesh._dense_inverse.cache_info()[:2] == (198, 2)
 
 
 class TestFieldIO:
