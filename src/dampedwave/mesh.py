@@ -18,8 +18,9 @@ _KIND_DIMS = {"interval": 1, "rectangle": 2}
 
 FIELD_HEADER_PREFIX = "# dampedwave-field v1 "
 MAX_AXIS_NODES = 4095  # per axis; the axis's dense DST-I matrix takes 128 MiB
-# 1D solves by dense inverses up to this many nodes (32 KiB an inverse): a
-# stack of 64 distinct shifts still solves as fast as by the sine transforms
+# 1D steps and solves by dense matrices up to this many nodes (two of 32 KiB
+# a shift): one row steps 1.15x as fast as by the sine transforms, a stack of
+# 8 distinct shifts as fast, one of 32 or 64 1.25x as slow (README)
 DENSE_MAX_NODES = 63
 
 
@@ -234,12 +235,40 @@ def _sine_basis(m: int, ha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _dense_inverse(m: int, ha: float, c0: float, c1: float) -> np.ndarray:
-    """Dense (c0 I + c1 A)^(-1) = (s inv) @ s of one axis, read-only."""
+def _dense_inverse(m: int, ha: float, c0: float, c1: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (c0 I + c1 A)^(-1) = (s inv) @ s and its product with A,
+    (s (lam inv)) @ s, of one axis, read-only."""
     s, lam = _sine_basis(m, ha)
-    d = (s * (1.0 / (c0 + c1 * lam))) @ s
-    d.flags.writeable = False
-    return d
+    inv = 1.0 / (c0 + c1 * lam)
+    mats = (s * inv) @ s, (s * (lam * inv)) @ s
+    for d in mats:
+        d.flags.writeable = False
+    return mats
+
+
+def dense_inverses(domain: Domain, c0, c1
+                   ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Per shift (c0[k], c1[k]), the cached dense (c0 I + c1 A)^(-1) and its
+    product with A; None unless the domain is an interval of up to
+    DENSE_MAX_NODES nodes."""
+    if domain.dim != 1 or domain.size > DENSE_MAX_NODES:
+        return None
+    return [_dense_inverse(*domain.n, *domain.h, s0, s1) for s0, s1 in zip(c0, c1)]
+
+
+def row_products(mats: list[np.ndarray]):
+    """b -> the stack whose row k is mats[k] @ b[k], for a (K, n) stack b.
+
+    Each row gets a product of its own, np.dot for one row and a stacked
+    matmul otherwise, never one product over the stack, so it rounds
+    exactly as that row alone.
+    """
+    if len(mats) == 1:  # one field: the faster call
+        (d,) = mats
+        return lambda b: np.dot(d, b[0])[None]
+    d = mats[0] if all(m is mats[0] for m in mats) else np.stack(mats)
+    return lambda b: np.matmul(d, b[..., None])[..., 0]
 
 
 def shifted_solver(domain: Domain, c0, c1):
@@ -248,19 +277,17 @@ def shifted_solver(domain: Domain, c0, c1):
     A is the Kronecker sum of per-axis tridiagonal matrices, all diagonalized
     by DST-I, so the solve is two transforms around a diagonal scaling, in 1D
     and 2D alike.  On intervals of up to DENSE_MAX_NODES nodes it is instead
-    one product with the shift's dense inverse, which later solvers reuse;
-    the domain alone chooses the method, never the stack.  Given sequences of
-    K shifts c0, c1, the solver takes a (K, size) stack whose row k it solves
-    with (c0[k], c1[k]); each row gets matrix products of its own, never one
-    product over the stack, so it rounds exactly as a solve of that row alone.
+    one product with the shift's dense inverse (`dense_inverses`); the
+    domain alone chooses the method, never the stack.  There the midpoint
+    step uses the inverses itself, with A folded in, and takes no A u.
+    Given sequences of K shifts c0, c1, the solver takes a (K, size) stack
+    whose row k it solves with (c0[k], c1[k]); each row gets matrix
+    products of its own, never one product over the stack, so it rounds
+    exactly as a solve of that row alone.
     """
-    if domain.dim == 1 and domain.size <= DENSE_MAX_NODES:
-        shifts = list(zip(c0, c1))
-        mats = [_dense_inverse(*domain.n, *domain.h, *shift) for shift in shifts]
-        if len(shifts) == 1:  # one field: the faster call
-            return lambda b: np.dot(mats[0], b[0])[None]
-        d = mats[0] if len(set(shifts)) == 1 else np.stack(mats)
-        return lambda b: np.matmul(d, b[..., None])[..., 0]
+    dense = dense_inverses(domain, c0, c1)
+    if dense is not None:
+        return row_products([inv for inv, _ in dense])
     c0, c1 = np.asarray(c0), np.asarray(c1)
     one_row = len(c0) == 1
     if one_row:  # the products of one field are the faster calls

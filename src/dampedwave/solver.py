@@ -23,8 +23,10 @@ first solve to pass the bound, so most steps take one solve.
 
 `run_many` steps trajectories that share a domain, dt, horizon and p as one
 (K, size) stack, in which every row rounds exactly as it does alone; `run` is
-its one-row case.  A step is one `advance` call and one A @ u, under the one
-np.errstate of the step loop; the energy and the samples wait for a block
+its one-row case.  A step is one `advance` call under the one np.errstate of
+the step loop, and on domains that the sine transforms solve one A @ u; on
+intervals of up to mesh.DENSE_MAX_NODES nodes the step folds A into its
+products and takes no A @ u.  The energy and the samples wait for a block
 of steps (`_fold`).  The solver imports no theory module: the certificate
 reaches it as `MonitorSet.epsilon` and the monitors' flags.
 """
@@ -117,6 +119,16 @@ class Stepper:
     It steps a (K, size) stack, row k under params[k]; the K ModelParams
     share p, and one trajectory is a stack of one row.  Every row rounds
     exactly as it does stepped alone.
+
+    With S that matrix and f the source, the midpoint velocity solves
+    S vm = 2 v - dt A u + dt f(u + dt/2 vm).  A step prepares the part that
+    does not change with vm once, `_affine(u, v, au)`, and each Picard
+    iteration maps it and f(um) to the next iterate, `_solve(affine, f)`.
+    On intervals of up to mesh.DENSE_MAX_NODES nodes that is one product of
+    [dt S^-1 | -dt S^-1 A] (`mesh.dense_inverses`) with [2/dt v + f | u], so
+    the step takes no A u (`needs_au` is False); dt S^-1 serves v and f
+    alike, so a row holds two matrices, not three.  Elsewhere the step takes
+    2 v - dt A u and an iteration solves by `mesh.shifted_solver`.
     """
 
     def __init__(self, domain: mesh.Domain, params: Sequence[ModelParams],
@@ -131,18 +143,42 @@ class Stepper:
         self._damping = [(-prm.omega * w, prm.mu * w) for prm in params]
         dt = cfg.dt
         c0 = [2.0 + dt * prm.mu for prm in params]
-        self._solve = mesh.shifted_solver(
-            domain, c0, [0.5 * dt * dt + dt * prm.omega for prm in params])
+        c1 = [0.5 * dt * dt + dt * prm.omega for prm in params]
         # rho = lip * M^(p-2) per row
         self._lip = [0.5 * dt * dt * (self.p - 1.0) / c for c in c0]
+        dense = mesh.dense_inverses(domain, c0, c1)
+        self.needs_au = dense is None
+        if dense is None:
+            solve = mesh.shifted_solver(domain, c0, c1)
+            self._affine = lambda u, v, au: 2.0 * v - dt * au
+            self._solve = lambda base, source: solve(base + dt * source)
+            return
+        shifts = list(zip(c0, c1))
+        # per shift [dt S^-1 | -dt S^-1 A], one object for the rows that share it
+        blocks = {shift: np.hstack((dt * inv, -dt * inv_a))
+                  for shift, (inv, inv_a) in dict(zip(shifts, dense)).items()}
+        products = mesh.row_products([blocks[shift] for shift in shifts])
+        n, two_over_dt = domain.size, 2.0 / dt
+
+        def affine(u, v, au):
+            w = two_over_dt * v
+            x = np.concatenate((w, u), axis=1)  # its first half takes w + f
+            return w, x, x[:, :n]
+
+        def solve(affine, source):
+            w, x, head = affine
+            np.add(w, source, out=head)
+            return products(x)
+        self._affine, self._solve = affine, solve
 
     def _nonlinear(self, um: np.ndarray) -> np.ndarray:
         return um * np.abs(um) ** (self.p - 2.0)
 
-    def advance(self, u: np.ndarray, v: np.ndarray, au: np.ndarray,
+    def advance(self, u: np.ndarray, v: np.ndarray, au: np.ndarray | None,
                 guess: np.ndarray | None = None
                 ) -> tuple[tuple[np.ndarray, np.ndarray], StepStats]:
-        """One midpoint step from the (K, size) stacks u and v; `au` is A @ u.
+        """One midpoint step from the (K, size) stacks u and v; `au` is A @ u,
+        which only a stepper that `needs_au` reads (it may be None otherwise).
 
         The Picard iteration starts from vm_0 = `guess`, or from v when no
         guess is given.  Each row iterates until its own Picard test passes
@@ -178,7 +214,7 @@ class Stepper:
                              f"rows, got shape {u.shape}")
         dt, q = self.cfg.dt, self.p - 2.0
         half_dt = 0.5 * dt
-        base = 2.0 * v - dt * au
+        affine = self._affine(u, v, au)
         n_rows = len(u)
         solves = [0] * n_rows
         ended = [False] * n_rows  # converged or failed: the row stays fixed
@@ -187,9 +223,7 @@ class Stepper:
         busy = n_rows
         vm = v if guess is None else guess
         while busy:
-            um = u + half_dt * vm
-            rhs = base + dt * self._nonlinear(um)
-            vm_new = self._solve(rhs)
+            vm_new = self._solve(affine, self._nonlinear(u + half_dt * vm))
             if busy < n_rows:
                 vm_new[ended] = vm[ended]
             stacked = np.concatenate((u, vm, vm_new - vm, vm_new))
@@ -347,8 +381,10 @@ def _fold(rows: list[_Row], block: list, stepper: Stepper, stride: int,
     position, with their (kind, details).
 
     Each entry of `block` is one step: its index k, its StepStats and the
-    (K, size) u, A u and v it ended on.  One `energy_terms` call and one
-    `Stepper.dissipation` call cover every step of the block; v @ u and
+    (K, size) u, A u and v it ended on, with A u None where the stepper takes
+    none; then one stiffness product over the block's stacked u gives every
+    step's A u, bit for bit as its step would.  One `energy_terms` call and
+    one `Stepper.dissipation` call cover every step of the block; v @ u and
     v @ A v cover its sampled steps.  At each step a row advances its clock
     and solve count, adds its drift, records a sampled step and takes its
     verdict there, and at the horizon completes.  It ends at its first failed
@@ -358,7 +394,8 @@ def _fold(rows: list[_Row], block: list, stepper: Stepper, stride: int,
     """
     n, dt, w, p = len(rows), stepper.cfg.dt, stepper.w, stepper.p
     steps, stats, us, aus, vs = zip(*block)
-    u, au, v = np.concatenate(us), np.concatenate(aus), np.concatenate(vs)
+    u, v = np.concatenate(us), np.concatenate(vs)
+    au = np.concatenate(aus) if stepper.needs_au else stepper.a(u)
     terms = energy_terms(u, au, v, w, p)
     diss = stepper.dissipation(np.concatenate([s.vm for s in stats]))
     sampled = [k % stride == 0 or k == n_steps for k in steps]
@@ -413,14 +450,17 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     not positive or of more than MAX_STEPS steps raises ValueError.
 
     Each step calls `Stepper.advance` once, from `start_guess` of the
-    ring of the stack's last midpoint velocities, and evaluates A @ u, which
-    also serves the next step.  Everything else waits in a block of steps:
-    the energy terms, which the drift, the samples, the monitors and the
-    divergence norm share, the midpoint dissipation, and the sample's v @ u
-    and A @ v.  `_fold` evaluates the block and decides which rows end when
-    it holds BLOCK_VALUES node values, when a row's step fails and at the
-    horizon; the rows it ends leave the stack then.  So a row may be stepped
-    up to one block past its ending, and those steps are thrown away.
+    ring of the stack's last midpoint velocities.  Where the stepper
+    `needs_au` (any domain but an interval of up to mesh.DENSE_MAX_NODES
+    nodes) it also evaluates A @ u, which serves the next step and the
+    block; elsewhere `_fold` takes A @ u once per block.  Everything else
+    waits in a block of steps: the energy terms, which the drift, the
+    samples, the monitors and the divergence norm share, the midpoint
+    dissipation, and the sample's v @ u and A @ v.  `_fold` evaluates the
+    block and decides which rows end when it holds BLOCK_VALUES node values,
+    when a row's step fails and at the horizon; the rows it ends leave the
+    stack then.  So a row may be stepped up to one block past its ending,
+    and those steps are thrown away.
     """
     n_steps = step_count(horizon, cfg.dt)
     if monitors is None:
@@ -431,7 +471,7 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
     if any(state.u.domain != domain for state in states):
         raise ValueError("the rows of a stack must share a domain")
     stepper = Stepper(domain, params, cfg)
-    a, w, p = stepper.a, stepper.w, stepper.p
+    a, w, p, needs_au = stepper.a, stepper.w, stepper.p, stepper.needs_au
     stride = 1 if domain.size <= SAMPLE_EVERY_STEP_MAX_NODES else 10
 
     u = np.array([state.u.values for state in states])
@@ -456,7 +496,7 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
         for k in range(1, n_steps + 1):
             (u, v), stats = stepper.advance(u, v, au, start_guess(ring, k - 1))
             ring[(k - 1) % HISTORY] = stats.vm
-            au = a(u)
+            au = a(u) if needs_au else None
             block.append((k, stats, u, au, v))
             if (4 * u.size * len(block) < BLOCK_VALUES and k < n_steps
                     and not any(stats.failures)):
@@ -468,7 +508,9 @@ def run_many(states: Sequence[SimState], params: Sequence[ModelParams],
             for r, (kind, details) in ended.items():
                 results[rows[r].index] = rows[r].end(kind, details)
             keep = [r for r in range(len(rows)) if r not in ended]
-            rows, u, v, au = [rows[r] for r in keep], u[keep], v[keep], au[keep]
+            rows, u, v = [rows[r] for r in keep], u[keep], v[keep]
+            if needs_au:
+                au = au[keep]
             ring = ring[:, keep]
             if not rows:
                 break

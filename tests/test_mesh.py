@@ -217,17 +217,24 @@ def test_dense_inverse_solves_to_a_few_ulps(n, rng, csr_stiffness):
     """On intervals of up to DENSE_MAX_NODES nodes a row is solved by one
     product with its dense inverse.  For the midpoint shifts of dt = 5e-3
     under AC-2's five dampings, (c0 I + c1 A) x = b holds to a few ulps of
-    |c0 I + c1 A| |x| in the max norm, against the assembled CSR matrix."""
+    |c0 I + c1 A| |x| in the max norm, against the assembled CSR matrix.
+    The step's other dense matrix, (c0 I + c1 A)^-1 A, gives y with
+    (c0 I + c1 A) y = A b to as many ulps of |c0 I + c1 A| |y| + |A| |b|."""
     dom, dt = dw.interval(1.0, n), 5e-3
     dampings = [(0.0, 1.0), (0.1, 1.0), (1.0, 1.0), (0.1, 0.0), (1.0, 0.0)]
     c0 = [2.0 + dt * mu for _, mu in dampings]
     c1 = [0.5 * dt * dt + dt * omega for omega, _ in dampings]
     b = rng.standard_normal((len(dampings), n))
     solved = mesh.shifted_solver(dom, c0, c1)(b)
-    for s0, s1, row, x in zip(c0, c1, b, solved):
-        m = s0 * sp.identity(n, format="csr") + s1 * csr_stiffness(dom)
+    a, eps = csr_stiffness(dom), np.finfo(float).eps
+    for s0, s1, row, x, (_, inv_a) in zip(c0, c1, b, solved,
+                                          mesh.dense_inverses(dom, c0, c1)):
+        m = s0 * sp.identity(n, format="csr") + s1 * a
         norm = abs(m).sum(axis=1).max()
-        assert abs(m @ x - row).max() <= 8 * np.finfo(float).eps * norm * abs(x).max()
+        assert abs(m @ x - row).max() <= 8 * eps * norm * abs(x).max()
+        y = inv_a @ row
+        scale = norm * abs(y).max() + abs(a).sum(axis=1).max() * abs(row).max()
+        assert abs(m @ y - a @ row).max() <= 8 * eps * scale
 
 
 @pytest.mark.parametrize("shared", [False, True])

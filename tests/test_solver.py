@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,12 +53,14 @@ def test_advance_rejects_a_single_field(dom63):
 
 
 def _stub_solve(stepper, outputs):
-    """Replace the stepper's linear solve by one returning `outputs` in turn."""
+    """Replace the stepper's per-iteration solve, which maps the step's affine
+    part and the source at the midpoint to the next iterate, by one
+    returning `outputs` in turn."""
     calls = []
 
-    def solve(rhs):
-        calls.append(rhs)
-        return outputs[(len(calls) - 1) % len(outputs)].copy().reshape(rhs.shape)
+    def solve(affine, source):
+        calls.append(source)
+        return outputs[(len(calls) - 1) % len(outputs)].copy().reshape(source.shape)
     stepper._solve = solve
     return calls
 
@@ -89,21 +93,35 @@ def test_overflowing_picard_change_is_not_non_finite(dom63):
     assert u_new.tobytes() == u.tobytes() and v_new.tobytes() == v.tobytes()
 
 
-def _midpoint_map(stepper, u, v, au):
-    """The step's exact Picard map vm -> S^-1 (2v - dt Au + dt f(u + dt vm/2))."""
-    dt = stepper.cfg.dt
-    base = 2.0 * v - dt * au
-    return lambda vm: stepper._solve(base + dt * stepper._nonlinear(u + 0.5 * dt * vm))
+def _midpoint_map(a, params, dt, u, v):
+    """The step's Picard map vm -> S^-1 (2v - dt Au + dt f(u + dt vm/2)) of
+    the (K, size) stacks u and v, row k under params[k], from the assembled
+    stiffness matrix `a` and a sparse LU of each row's S, not the stepper."""
+    eye = sp.identity(a.shape[0], format="csc")
+    solves = [spla.factorized(((2.0 + dt * prm.mu) * eye
+                               + (0.5 * dt * dt + dt * prm.omega) * a).tocsc())
+              for prm in params]
+    base = 2.0 * v - dt * (a @ u.T).T
+    q = params[0].p - 2.0
+
+    def step_map(vm):
+        um = u + 0.5 * dt * vm
+        rhs = base + dt * (um * np.abs(um) ** q)
+        return np.array([solve(row) for solve, row in zip(solves, rhs)])
+    return step_map
 
 
 @pytest.mark.parametrize("dom", [dw.interval(1.0, 63),
-                                 dw.rectangle((1.5, 1.0), (47, 31))])
+                                 dw.rectangle((1.5, 1.0), (47, 31)),
+                                 dw.interval(1.0, 64)])
 @pytest.mark.parametrize("rows", [
     [((0.1, 1.0), 20.0, 0.0)],
     [((0.1, 1.0), 2.0, 0.5), ((0.0, 1.0), 25.0, -3.0), ((1.0, 0.5), 10.0, 1.0)],
 ])
-def test_picard_stop_is_within_tolerance_of_the_fixed_point(dom, rows):
-    """The returned midpoint velocity is PICARD_TOL-close to the step's fixed point."""
+def test_picard_stop_is_within_tolerance_of_the_fixed_point(dom, rows, csr_stiffness):
+    """The returned midpoint velocity is PICARD_TOL-close to the fixed point
+    of the step's midpoint equation, by the dense 1D products, the 2D
+    transforms and, at 64 nodes, the 1D transforms."""
     params = [dw.ModelParams(omega=om, mu=mu, p=4.0) for (om, mu), _, _ in rows]
     phi, psi = mesh.eigenmode(dom).values, mesh.eigenmode(dom, (2,) * dom.dim).values
     u = np.array([a * phi for _, a, _ in rows])
@@ -114,7 +132,7 @@ def test_picard_stop_is_within_tolerance_of_the_fixed_point(dom, rows):
         au = stepper.a(u)
         (u_new, v_new), stats = stepper.advance(u, v, au)
         vm = 0.5 * (v + v_new)
-        step_map, fixed = _midpoint_map(stepper, u, v, au), vm
+        step_map, fixed = _midpoint_map(csr_stiffness(dom), params, 5e-3, u, v), vm
         for _ in range(100):
             fixed = step_map(fixed)
         err = np.abs(vm - fixed).max(axis=-1)
@@ -127,8 +145,9 @@ def test_picard_stop_is_within_tolerance_of_the_fixed_point(dom, rows):
     assert all(c < 0.5 or c == math.inf for c in contractions)
 
 
-def test_contraction_bound_saves_a_solve_per_step(dom63, wc63_p4):
-    """Against the test on the change alone, from the same states, over 200 steps."""
+def test_contraction_bound_saves_a_solve_per_step(dom63, wc63_p4, csr_stiffness):
+    """Against the test on the change alone, iterating the step's midpoint
+    equation from the same states, over 200 steps."""
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     u0, u1 = dw.prepare_initial_data(dom63, params, wc63_p4, ("stable", 0.5))
     stepper = dw.Stepper(dom63, [params], dw.StepConfig(dt=5e-3))
@@ -136,7 +155,7 @@ def test_contraction_bound_saves_a_solve_per_step(dom63, wc63_p4):
     solves = old_solves = 0
     for _ in range(200):
         au = stepper.a(u)
-        step_map, vm = _midpoint_map(stepper, u, v, au), v
+        step_map, vm = _midpoint_map(csr_stiffness(dom63), [params], 5e-3, u, v), v
         for it in range(1, solver.PICARD_MAX + 1):
             vm, prev = step_map(vm), vm
             tol = solver.PICARD_TOL * max(1.0, np.abs(vm).max())
@@ -468,7 +487,7 @@ GUESS = st.tuples(st.sampled_from([0.0, 1.0, 10.0]), NODE_VALUES)
                      min_size=1, max_size=3),
        amp=st.floats(min_value=0.0, max_value=60.0), p=st.sampled_from([3.0, 4.0, 5.0]))
 @np.errstate(over="ignore", invalid="ignore")  # a guess far from vm may overflow
-def test_any_start_guess_keeps_the_picard_tolerance(rows, amp, p):
+def test_any_start_guess_keeps_the_picard_tolerance(rows, amp, p, csr_stiffness):
     """From any guess, a row that the contraction bound ends is within
     PICARD_TOL of the step's fixed point, and every row rounds in a stack as
     it does alone.
@@ -491,7 +510,8 @@ def test_any_start_guess_keeps_the_picard_tolerance(rows, amp, p):
         guess = factor * plain.vm + amp * np.array([offset])
         _, stats = stepper.advance(u, v, au, guess)
         if stats.failures[0] is None and stats.contraction[0] < math.inf:
-            step_map, fixed = _midpoint_map(stepper, u, v, au), stats.vm
+            step_map, fixed = _midpoint_map(csr_stiffness(dom), [params], cfg.dt,
+                                            u, v), stats.vm
             for _ in range(200):
                 fixed, prev = step_map(fixed), fixed
                 if (fixed == prev).all():
@@ -764,7 +784,8 @@ def test_a_row_that_fails_from_its_guess_fails_from_v(monkeypatch):
         for r, failure in enumerate(step[1].failures):
             if failure is not None and guess is not None:
                 alone = dw.Stepper(self.domain, self.row_params[r:r + 1], self.cfg)
-                _, from_v = advance(alone, u[r:r + 1], v[r:r + 1], au[r:r + 1])
+                _, from_v = advance(alone, u[r:r + 1], v[r:r + 1],
+                                    None if au is None else au[r:r + 1])
                 assert from_v.failures[0] is not None, (self.row_params[r], failure)
                 checked.append(failure)
         return step
@@ -994,10 +1015,10 @@ def test_a_step_past_a_rows_ending_cannot_raise(dom63, monkeypatch):
     assert str(failed) == "step produced non-finite values"
 
 
-def _decaying_run(dom63):
-    """A 400-step run on dom63 that completes."""
+def _decaying_run(dom):
+    """A 400-step run on `dom` that completes."""
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
-    state = dw.SimState.rest(dw.GridField(dom63, 0.5 * mesh.eigenmode(dom63).values))
+    state = dw.SimState.rest(dw.GridField(dom, 0.5 * mesh.eigenmode(dom).values))
     _, outcome = dw.run(state, params, dw.StepConfig(dt=5e-3), 400 * 5e-3)
     assert outcome.kind == "completed"
 
@@ -1006,8 +1027,8 @@ def _decaying_run(dom63):
 STEPS_PER_BLOCK = 49
 
 
-def test_a_run_takes_about_one_stiffness_product_per_step(dom63, monkeypatch):
-    """A @ u is the one product per step; A vm and A v wait for the block."""
+def _count_stiffness_products(monkeypatch):
+    """Record the rows of every stiffness product the solver takes."""
     products = []
     stiffness = mesh.stiffness
 
@@ -1019,10 +1040,32 @@ def test_a_run_takes_about_one_stiffness_product_per_step(dom63, monkeypatch):
             return apply(x)
         return product
     monkeypatch.setattr(mesh, "stiffness", counted)
+    return products
+
+
+def test_a_dense_run_takes_no_stiffness_product_per_step(dom63, monkeypatch):
+    """On an interval of up to DENSE_MAX_NODES nodes the step folds A into
+    its products with the midpoint inverse: A u, A vm and A v wait for the
+    block, and each covers the block's stacked steps."""
+    products = _count_stiffness_products(monkeypatch)
     _decaying_run(dom63)
     assert math.ceil(solver.BLOCK_VALUES / (4 * dom63.size)) == STEPS_PER_BLOCK
+    # A u and A v at t = 0, then A u, A vm and A v per block
+    blocks = math.ceil(400 / STEPS_PER_BLOCK)
+    assert len(products) == 2 + 3 * blocks == 29
+    assert products[2:5] == [STEPS_PER_BLOCK] * 3
+
+
+@pytest.mark.parametrize("dom", [dw.interval(1.0, mesh.DENSE_MAX_NODES + 1),
+                                 dw.rectangle((1.5, 1.0), (7, 5))])
+def test_a_transform_run_takes_one_stiffness_product_per_step(dom, monkeypatch):
+    """Where the sine transforms solve, the step takes A u, which also serves
+    the block's energies; A vm and A v wait for the block."""
+    products = _count_stiffness_products(monkeypatch)
+    _decaying_run(dom)
     # A u and A v at t = 0, A u per step, A vm and A v per block
-    assert len(products) == 2 + 400 + 2 * math.ceil(400 / STEPS_PER_BLOCK) == 420
+    blocks = math.ceil(400 / math.ceil(solver.BLOCK_VALUES / (4 * dom.size)))
+    assert len(products) == 2 + 400 + 2 * blocks
 
 
 def test_a_run_evaluates_the_energy_once_per_block(dom63, monkeypatch):

@@ -110,17 +110,18 @@ def test_tracer_counts_the_step_loop(monkeypatch):
     params = dw.ModelParams(omega=0.1, mu=1.0, p=4.0)
     cfg = dw.StepConfig(dt=5e-3)
     u0 = 2.0 * dw.mesh.eigenmode(dom).values
-    solves = []  # one entry per call of the midpoint solve
-    shifted_solver = dw.mesh.shifted_solver
+    solves = []  # one entry per call of the stepper's per-iteration solve
+    init = dw.Stepper.__init__
 
-    def counting_solver(*args):
-        solve = shifted_solver(*args)
+    def counting_init(self, *args):
+        init(self, *args)
+        solve = self._solve
 
-        def counted(rhs):
-            solves.append(len(rhs))
-            return solve(rhs)
-        return counted
-    monkeypatch.setattr(dw.mesh, "shifted_solver", counting_solver)
+        def counted(affine, source):
+            solves.append(len(source))
+            return solve(affine, source)
+        self._solve = counted
+    monkeypatch.setattr(dw.Stepper, "__init__", counting_init)
 
     tracer = _load_perfbench("tracing").Tracer()
     tracer.install()
